@@ -4,17 +4,20 @@ Every operator is an element loop in disguise: gather element-local nodal
 values with fancy indexing, hit them with a precomputed element-local
 matrix (shared by all elements, since meshes are uniform boxes), and
 scatter-add back with ``np.bincount``. No global matrix is ever stored;
-only the lumped mass and the O(nloc^2) local blocks.
+only the lumped mass and the O(nloc^2) local blocks. The one exception is
+the direct Laplacian solve on fully periodic meshes, which keeps dense 1D
+eigenvector matrices, one per distinct axis.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
 """
 
 import enum
+from functools import cached_property
 
 import numpy as np
 
-from .basis import Basis1D
+from .basis import Basis1D, apply_along_axis
 
 __all__ = [
     "ScalarField",
@@ -241,8 +244,12 @@ class GlobalOperators:
         pts = self.quadrature_coords()
         fvals = np.asarray(fn(pts.reshape(-1, self.mesh.dim)), dtype=float)
         fvals = fvals.reshape(self.mesh.n_elems, self._nqd)
+        return self.assemble_quad_values(fvals)
+
+    def assemble_quad_values(self, qvals) -> ScalarField:
+        """Integral against every test function of values at quad points."""
         return ScalarField(self.mesh,
-                           self._scatter(self._from_quad_t(fvals * self._wq)))
+                           self._scatter(self._from_quad_t(qvals * self._wq)))
 
     # -- spec operators ----------------------------------------------------
 
@@ -391,6 +398,74 @@ class GlobalOperators:
         local = np.broadcast_to(np.diag(self._stiff_local),
                                 (self.mesh.n_elems, self._nloc))
         return self._scatter(local)
+
+    # -- fast diagonalization of the periodic Laplacian -------------------
+
+    def _axis_eigenpairs(self, k):
+        """Generalized eigenpairs K1 S = M1 S diag(lam) of periodic axis k.
+
+        K1 and M1 are the 1D stiffness and quadrature mass assembled with
+        this operator set's rule; S is M1-orthonormal (S^T M1 S = I). The
+        Cholesky factor M1 = L L^T reduces the problem to the symmetric
+        eigh(L^-1 K1 L^-T) = V, S = L^-T V, for diagonal and full M1 alike.
+        eigh sorts lam ascending, so lam[0] = 0 is the constant mode.
+        """
+        mesh, b = self.mesh, self.basis
+        h, n = mesh.h_axes[k], mesh.dofs_per_axis[k]
+        w, B, Dq = b.quad_weights, b.eval_matrix, b.quad_diff_matrix
+        ids = mesh._axis_dof_maps[k]
+        rows, cols = ids[:, :, None], ids[:, None, :]
+        k1 = np.zeros((n, n))
+        m1 = np.zeros((n, n))
+        np.add.at(k1, (rows, cols), (2.0 / h) * (Dq.T @ (w[:, None] * Dq)))
+        np.add.at(m1, (rows, cols), (0.5 * h) * (B.T @ (w[:, None] * B)))
+        chol = np.linalg.cholesky(m1)
+        reduced = np.linalg.solve(chol, np.linalg.solve(chol, k1).T)
+        lam, v = np.linalg.eigh(reduced)
+        return np.linalg.solve(chol.T, v), lam
+
+    @cached_property
+    def _laplacian_factors(self):
+        """Per array axis (z, y, x) eigenvectors S, and 1 / sum of lam.
+
+        Only meaningful on a fully periodic mesh; the reciprocal of the
+        constant mode (index 0 on every axis) is set to zero.
+        """
+        mesh = self.mesh
+        pairs = {}  # equal axes (a cube) share one factorization
+        s_axes, lams = [], []
+        for k in reversed(range(mesh.dim)):
+            key = (mesh.elems_per_axis[k], mesh.h_axes[k])
+            if key not in pairs:
+                pairs[key] = self._axis_eigenpairs(k)
+            s_axes.append(pairs[key][0])
+            lams.append(pairs[key][1])
+        lam_sum = sum(np.ix_(*lams))
+        lam_sum[(0,) * mesh.dim] = np.inf
+        return s_axes, 1.0 / lam_sum
+
+    def solve_periodic_laplacian(self, values):
+        """Mean-free solution of the weak Laplacian system K p = b.
+
+        K is the sum over axes of K1 (x) M1 (x) M1, so with the per-axis
+        eigenvectors S the solve is three contractions with S^T, a divide
+        by lam_x + lam_y + lam_z and three contractions with S (Lynch, Rice
+        & Thomas 1964). The Euclidean mean is removed from b first and
+        from p last, the convention of mean-deflated CG. Fully periodic
+        meshes only.
+        """
+        mesh = self.mesh
+        if not all(mesh.periodic):
+            raise FieldError("direct Laplacian solve needs a periodic mesh")
+        s_axes, inv_lam = self._laplacian_factors
+        x = (values - values.mean()).reshape(inv_lam.shape)
+        for a, s in enumerate(s_axes):
+            x = apply_along_axis(s.T, x, a)
+        x *= inv_lam
+        for a, s in enumerate(s_axes):
+            x = apply_along_axis(s, x, a)
+        x = x.ravel()
+        return x - x.mean()
 
 
 def assemble_lumped_mass(mesh, basis=None):

@@ -87,11 +87,11 @@ def lps_term(ops: GlobalOperators, phi: ScalarField, nu_elem: np.ndarray,
     """
     if c_s == 0.0:
         return ScalarField(ops.mesh)
-    g = ops.project_gradient(phi)
-    grads = ops.grad_at_quad(phi.values)
-    flux = [
-        ops.interp_to_quad(g.data[k]) - grads[k] for k in range(ops.mesh.dim)
-    ]
+    flux = []
+    for grad_q in ops.grad_at_quad(phi.values):
+        # g_h from the same quadrature gradient: M_L^{-1} Phi^T (W grad phi).
+        g = ops.assemble_quad_values(grad_q).values * ops._inv_lumped
+        flux.append(ops.interp_to_quad(g) - grad_q)
     out = ops.weak_div_flux(flux, elem_scale=np.asarray(nu_elem, dtype=float))
     out.values *= c_s
     return out

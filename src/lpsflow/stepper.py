@@ -6,9 +6,19 @@ and the linear diffusion term is folded in implicitly once per step. The
 explicit part can be wrapped in multistage strong-stability-preserving
 Runge-Kutta schemes; the Poisson problem is solved at every stage.
 
-All linear systems are SPD and solved by Jacobi-preconditioned conjugate
-gradients; the pure-Neumann pressure problem on fully periodic meshes is
-deflated against its constant null space every iteration.
+All linear systems are SPD. Where the pressure is solved depends on the
+mesh's boundary tags:
+
+- every axis periodic: the pure-Neumann pressure system is solved directly
+  by fast diagonalization of its Kronecker structure (0 iterations are
+  reported);
+- any wall or outflow face: Jacobi-preconditioned conjugate gradients, warm
+  started from the last two pressures of the same RK stage and, without
+  outflow Dirichlet rows, deflated against the constant null space every
+  iteration.
+
+The implicit diffusion solve always uses CG, so ``TimeScheme.cg_tol``
+governs the bounded-domain pressure and the diffusion only.
 """
 
 import time
@@ -74,7 +84,7 @@ class TimeScheme:
     dt: float
     t_end: float = 1.0
     rk: str = "ssprk3"
-    cg_tol: float = 1e-8
+    cg_tol: float = 1e-8  # CG only: bounded-domain pressure and diffusion
     cg_max_iters: int = 10000
     cfl_limit: float = 1.0
     diffusion_theta: float = 1.0  # 1 = backward Euler, 0.5 = trapezoidal
@@ -123,6 +133,8 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
     if project is not None:
         b = project(b)
     bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):
+        raise LinearSolveError("non-finite right-hand side", 0, bnorm)
     if bnorm == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
@@ -147,7 +159,14 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
         ad = apply_op(d)
         if project is not None:
             ad = project(ad)
-        alpha = rz / float(d @ ad)
+        dad = float(d @ ad)
+        if dad <= 0.0:
+            raise LinearSolveError(
+                f"CG breakdown: d.Ad = {dad:.3e} <= 0 after {iters} "
+                "iterations (operator not positive definite)",
+                iters, rnorm / bnorm,
+            )
+        alpha = rz / dad
         x += alpha * d
         r -= alpha * ad
         if project is not None:
@@ -158,6 +177,11 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
         rz = rz_new
         rnorm = float(np.linalg.norm(r))
         iters += 1
+    if not np.isfinite(rnorm):  # NaN ends the loop: nan > x is false
+        raise LinearSolveError(
+            f"CG residual became non-finite after {iters} iterations",
+            iters, rnorm,
+        )
     if project is not None:
         x = project(x)
     return x, iters, rnorm / bnorm
@@ -211,12 +235,21 @@ def solve_spd_system(apply_op, b, *, constrained=None, values=None,
 def solve_poisson(ops: GlobalOperators, rhs: ScalarField, *, constrained=None,
                   values=None, tol=1e-10, max_iters=10000, x0=None,
                   precond_diag=None):
-    """Solve the SPD weak Laplacian system K p = rhs.
+    """Solve the SPD weak Laplacian system K p = rhs; returns (p, iterations).
 
-    Without Dirichlet rows the system is pure Neumann and the constant null
-    space is removed by mean deflation.
+    On a fully periodic mesh the pure-Neumann system is solved directly by
+    fast diagonalization and reports 0 iterations; ``tol``, ``max_iters``,
+    ``x0`` and ``precond_diag`` apply only to the CG path that every mesh
+    with a wall or outflow face takes. Without Dirichlet rows the system is
+    pure Neumann and CG removes the constant null space by mean deflation.
+    Either way the returned pressure has zero Euclidean mean.
     """
     mesh = ops.mesh
+    if all(mesh.periodic) and constrained is None:
+        if not np.isfinite(rhs.values.sum()):
+            raise LinearSolveError("non-finite right-hand side in the direct "
+                                   "Poisson solve", 0, float("nan"))
+        return ScalarField(mesh, ops.solve_periodic_laplacian(rhs.values)), 0
 
     def apply_k(x):
         return ops.weak_laplacian(ScalarField(mesh, x)).values
@@ -276,8 +309,10 @@ class Stepper:
     def solve_pressure(self, u_star: VectorField, dt=None, stage=0):
         """Weak Poisson solve for the stage pressure from div(u*)/dt.
 
-        The initial guess extrapolates the last two pressures solved for the
-        same RK stage, which typically halves the iteration count.
+        On a fully periodic mesh :func:`solve_poisson` solves directly.
+        Elsewhere CG starts from the extrapolation of the last two pressures
+        solved for the same RK stage, which typically halves the iteration
+        count.
         """
         dt = self.scheme.dt if dt is None else dt
         ops, bdata = self.ops, self.boundary
@@ -290,7 +325,8 @@ class Stepper:
         if bdata.has_outflow:
             constrained = bdata.outflow_dofs
             values = outflow_pressure_dirichlet(ops, bdata, u_star, self.physics.nu)
-        hist = self._p_hist.get(stage)
+        direct = all(ops.mesh.periodic)
+        hist = None if direct else self._p_hist.get(stage)
         if hist is None:
             x0 = None
         elif len(hist) == 1:
@@ -303,7 +339,9 @@ class Stepper:
             max_iters=self.scheme.cg_max_iters, x0=x0,
             precond_diag=self._stiff_diag,
         )
-        self._p_hist[stage] = ((hist[-1], p.values) if hist else (p.values,))
+        if not direct:
+            self._p_hist[stage] = ((hist[-1], p.values) if hist
+                                   else (p.values,))
         return p, iters
 
     def correct(self, u_star: VectorField, p: ScalarField, dt=None) -> VectorField:

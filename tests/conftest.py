@@ -1,7 +1,19 @@
-import numpy as np
-import pytest
+import os
 
-from lpsflow.mesh import build_structured_mesh, periodic_tags, wall_tags
+# One BLAS thread, set before numpy is first imported: with the default
+# thread pool the TGV reproductions slow down ~3x whenever another process
+# shares the cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from lpsflow.mesh import (  # noqa: E402
+    build_structured_mesh,
+    periodic_tags,
+    wall_tags,
+)
 
 TWO_PI = 2.0 * np.pi
 

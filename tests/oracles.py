@@ -27,9 +27,11 @@ def _lagrange_coeffs(nodes):
 class DenseOracle:
     """Dense global operators for a (small) mesh, assembled by brute force."""
 
-    def __init__(self, mesh):
+    def __init__(self, mesh, basis=None):
+        """``basis`` overrides the mesh's quadrature rule, as in
+        GlobalOperators; the nodal basis must match the mesh."""
         self.mesh = mesh
-        b = mesh.basis
+        b = mesh.basis if basis is None else basis
         dim, p = mesh.dim, mesh.order
         coeffs = _lagrange_coeffs(b.nodes)
         dcoeffs = [P.polyder(c) for c in coeffs]

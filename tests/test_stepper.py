@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from lpsflow.diagnostics import divergence_norm, kinetic_energy
-from lpsflow.mesh import build_structured_mesh, wall_tags
-from lpsflow.operators import GlobalOperators, ScalarField, VectorField
+from lpsflow.mesh import build_structured_mesh, periodic_tags, wall_tags
+from lpsflow.operators import (
+    FieldError,
+    GlobalOperators,
+    ScalarField,
+    VectorField,
+)
 from lpsflow.stabilization import StabilizationConfig
 from lpsflow.stepper import (
     CflError,
@@ -16,7 +21,7 @@ from lpsflow.stepper import (
     solve_poisson,
 )
 
-from conftest import periodic_mesh
+from conftest import periodic_mesh, walled_mesh
 
 from oracles import DenseOracle
 
@@ -53,6 +58,19 @@ class TestConjugateGradient:
         b = rng.standard_normal(n)
         with pytest.raises(LinearSolveError):
             conjugate_gradient(lambda v: a @ v, b, tol=1e-14, max_iters=2)
+
+    def test_nonfinite_rhs_raises(self):
+        with pytest.raises(LinearSolveError, match="non-finite right-hand"):
+            conjugate_gradient(lambda v: 2 * v, np.array([np.nan, 1.0]))
+
+    def test_nonfinite_residual_raises(self):
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            conjugate_gradient(lambda v: np.full_like(v, np.nan),
+                               np.array([1.0, 2.0]))
+
+    def test_indefinite_operator_raises(self):
+        with pytest.raises(LinearSolveError, match="breakdown"):
+            conjugate_gradient(lambda v: -v, np.array([1.0, 2.0]))
 
     def test_singular_system_needs_deflation(self):
         # Graph Laplacian of a cycle: singular with constant null space. An
@@ -101,6 +119,72 @@ class TestSolvePoisson:
         u = VectorField(mesh, rng.standard_normal((2, mesh.n_dofs)))
         p, _ = st.solve_pressure(u, 0.05)
         assert abs(p.values.mean()) < 1e-12 * np.max(np.abs(p.values))
+
+
+# Unequal element counts and extents per axis; every axis periodic.
+_EXTENTS = [(0.0, 1.0), (-1.0, 2.5), (0.5, 1.25)]
+
+
+class TestDirectPoissonSolve:
+    """Fast diagonalization against the dense brute-force stiffness."""
+
+    @pytest.mark.parametrize("dim,elems,p,spacing,over", [
+        (1, (5,), 1, "gll", False),
+        (1, (3,), 2, "gll", False),
+        (1, (2,), 8, "gll", False),
+        (1, (3,), 3, "equispaced", True),
+        (2, (4, 3), 1, "gll", False),
+        (2, (3, 2), 4, "gll", False),
+        (2, (2, 3), 8, "gll", False),
+        (2, (2, 3), 3, "equispaced", False),
+        (2, (3, 2), 4, "equispaced", False),
+        (2, (3, 2), 4, "gll", True),
+        (3, (3, 2, 4), 1, "gll", False),
+        (3, (2, 3, 2), 2, "gll", False),
+        (3, (2, 2, 3), 4, "gll", False),
+        (3, (2, 2, 2), 3, "equispaced", False),
+        (3, (2, 3, 2), 4, "equispaced", False),
+        (3, (2, 3, 2), 2, "gll", True),
+    ])
+    def test_matches_dense_oracle(self, dim, elems, p, spacing, over, rng):
+        mesh = build_structured_mesh(dim, _EXTENTS[:dim], elems, p, spacing,
+                                     periodic_tags(dim))
+        basis = mesh.basis.over_integrated() if over else None
+        ops = GlobalOperators(mesh, basis)
+        dense = DenseOracle(mesh, basis)
+        b = rng.standard_normal(mesh.n_dofs)
+        x, iters = solve_poisson(ops, ScalarField(mesh, b))
+        assert iters == 0
+        # The constant null space is deflated as in CG: K x = b - mean(b).
+        want = b - b.mean()
+        res = np.linalg.norm(dense.laplacian(x.values) - want)
+        assert res <= 1e-12 * np.linalg.norm(want)
+        assert abs(x.values.mean()) <= 1e-14 * np.max(np.abs(x.values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rhs_raises(self, bad):
+        mesh = periodic_mesh(2, 3, 2)
+        b = np.zeros(mesh.n_dofs)
+        b[4] = bad
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            solve_poisson(GlobalOperators(mesh), ScalarField(mesh, b))
+
+    def test_dispatch_follows_boundary_tags(self):
+        # Fully periodic: direct solve at every stage. Any wall: CG.
+        for mesh, direct in ((periodic_mesh(2, 4, 2), True),
+                             (walled_mesh(2, 4, 2), False)):
+            st = make_stepper(mesh, nu=0.01, dt=0.01, rk="ssprk3")
+            x, y = mesh.node_coords[:, 0], mesh.node_coords[:, 1]
+            u = VectorField(mesh, np.stack([np.sin(3 * x) * np.sin(3 * y),
+                                            np.zeros(mesh.n_dofs)]))
+            _, rep = st.step(u, 0.0)
+            if direct:
+                assert rep.poisson_iters == (0, 0, 0)
+            else:
+                assert len(rep.poisson_iters) == 3
+                assert min(rep.poisson_iters) > 0
+                with pytest.raises(FieldError):
+                    st.ops.solve_periodic_laplacian(np.ones(mesh.n_dofs))
 
 
 class TestPredict:
