@@ -123,10 +123,7 @@ def _run_manufactured_poisson(cfg: RunConfig, out_dir: Path, log):
         return dim * exact(points)
 
     rhs = ops.assemble_load(forcing)
-    p, iters = solve_poisson(
-        ops, rhs, tol=cfg.get("scheme", "cg_tol"),
-        max_iters=cfg.get("scheme", "cg_max_iters"),
-    )
+    p, iters = solve_poisson(ops, rhs)
     ref = GlobalOperators(mesh, mesh.basis.over_integrated())
     diff = p.values - exact(mesh.node_coords)
     diff -= diff.mean()
@@ -139,7 +136,7 @@ def _run_manufactured_poisson(cfg: RunConfig, out_dir: Path, log):
     manifest.update({"status": "ok", "l2_error": err, "cg_iters": iters})
     mpath = out_dir / "run.json"
     _write_manifest(mpath, manifest)
-    log(f"manufactured Poisson: L2 error {err:.6e} in {iters} CG iterations")
+    log(f"manufactured Poisson: L2 error {err:.6e} (direct solve)")
     return RunResult(EXIT_OK, out_dir, [], mpath, f"l2_error={err:.6e}")
 
 

@@ -72,11 +72,6 @@ class BoundaryData:
     def has_outflow(self):
         return len(self.outflow_faces) > 0
 
-    @property
-    def pressure_constrained(self):
-        """Pressure Dirichlet DoFs (outflow); empty means pure Neumann."""
-        return self.outflow_dofs
-
 
 def build_boundary_data(mesh, outflow_cfg: OutflowConfig = None,
                         wall_velocity=None) -> BoundaryData:

@@ -5,8 +5,8 @@ values with fancy indexing, hit them with a precomputed element-local
 matrix (shared by all elements, since meshes are uniform boxes), and
 scatter-add back with ``np.bincount``. No global matrix is ever stored;
 only the lumped mass and the O(nloc^2) local blocks. The one exception is
-the direct Laplacian solve on fully periodic meshes, which keeps dense 1D
-eigenvector matrices, one per distinct axis.
+the direct Laplacian solve, which keeps dense 1D eigenvector matrices, one
+per distinct axis.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import Basis1D, apply_along_axis
+from .mesh import BoundaryTag
 
 __all__ = [
     "ScalarField",
@@ -399,16 +400,17 @@ class GlobalOperators:
                                 (self.mesh.n_elems, self._nloc))
         return self._scatter(local)
 
-    # -- fast diagonalization of the periodic Laplacian -------------------
+    # -- fast diagonalization of the weak Laplacian -----------------------
 
-    def _axis_eigenpairs(self, k):
-        """Generalized eigenpairs K1 S = M1 S diag(lam) of periodic axis k.
+    def _axis_eigenpairs(self, k, keep):
+        """Generalized eigenpairs K1 S = M1 S diag(lam) on axis k's free DoFs.
 
         K1 and M1 are the 1D stiffness and quadrature mass assembled with
-        this operator set's rule; S is M1-orthonormal (S^T M1 S = I). The
-        Cholesky factor M1 = L L^T reduces the problem to the symmetric
-        eigh(L^-1 K1 L^-T) = V, S = L^-T V, for diagonal and full M1 alike.
-        eigh sorts lam ascending, so lam[0] = 0 is the constant mode.
+        this operator set's rule, restricted to the indices ``keep``; S is
+        M1-orthonormal (S^T M1 S = I). With R = M1^(-1/2) from eigh(M1), the
+        symmetric eigh(R K1 R) = V gives S = R V, for diagonal and full M1
+        alike. eigh sorts lam ascending, so on a pure-Neumann axis lam[0] = 0
+        is the constant mode.
         """
         mesh, b = self.mesh, self.basis
         h, n = mesh.h_axes[k], mesh.dofs_per_axis[k]
@@ -419,53 +421,70 @@ class GlobalOperators:
         m1 = np.zeros((n, n))
         np.add.at(k1, (rows, cols), (2.0 / h) * (Dq.T @ (w[:, None] * Dq)))
         np.add.at(m1, (rows, cols), (0.5 * h) * (B.T @ (w[:, None] * B)))
-        chol = np.linalg.cholesky(m1)
-        reduced = np.linalg.solve(chol, np.linalg.solve(chol, k1).T)
-        lam, v = np.linalg.eigh(reduced)
-        return np.linalg.solve(chol.T, v), lam
+        k1, m1 = k1[keep, keep], m1[keep, keep]
+        mu, q = np.linalg.eigh(m1)
+        r = (q / np.sqrt(mu)) @ q.T
+        lam, v = np.linalg.eigh(r @ k1 @ r)
+        return r @ v, lam
 
     @cached_property
     def _laplacian_factors(self):
-        """Per array axis (z, y, x) eigenvectors S, and 1 / sum of lam.
+        """Per array axis (z, y, x) the free-index slice and eigenvectors S,
+        and 1 / sum of lam over the free DoFs.
 
-        Only meaningful on a fully periodic mesh; the reciprocal of the
-        constant mode (index 0 on every axis) is set to zero.
+        The DoFs of an outflow face are pinned, so an axis drops its first
+        or last index when that face is an outflow and the free DoFs stay a
+        Cartesian product. Without any outflow face K is singular and the
+        reciprocal of the constant mode (index 0 on every axis) is zero.
         """
         mesh = self.mesh
         pairs = {}  # equal axes (a cube) share one factorization
-        s_axes, lams = [], []
+        keeps, s_axes, lams = [], [], []
         for k in reversed(range(mesh.dim)):
-            key = (mesh.elems_per_axis[k], mesh.h_axes[k])
+            cut = {f.side for f in mesh.boundary_faces.values()
+                   if f.axis == k and f.tag is BoundaryTag.OUTFLOW}
+            keep = slice(int(0 in cut), mesh.dofs_per_axis[k] - int(1 in cut))
+            key = (mesh.elems_per_axis[k], mesh.h_axes[k], mesh.periodic[k],
+                   keep.start, keep.stop)
             if key not in pairs:
-                pairs[key] = self._axis_eigenpairs(k)
+                pairs[key] = self._axis_eigenpairs(k, keep)
+            keeps.append(keep)
             s_axes.append(pairs[key][0])
             lams.append(pairs[key][1])
         lam_sum = sum(np.ix_(*lams))
-        lam_sum[(0,) * mesh.dim] = np.inf
-        return s_axes, 1.0 / lam_sum
+        if lam_sum.size == mesh.n_dofs:
+            lam_sum[(0,) * mesh.dim] = np.inf
+        return tuple(keeps), s_axes, 1.0 / lam_sum
 
-    def solve_periodic_laplacian(self, values):
-        """Mean-free solution of the weak Laplacian system K p = b.
+    def solve_laplacian(self, values):
+        """Solution p of the weak Laplacian system K p = b, zero on outflow.
 
-        K is the sum over axes of K1 (x) M1 (x) M1, so with the per-axis
-        eigenvectors S the solve is three contractions with S^T, a divide
-        by lam_x + lam_y + lam_z and three contractions with S (Lynch, Rice
-        & Thomas 1964). The Euclidean mean is removed from b first and
-        from p last, the convention of mean-deflated CG. Fully periodic
-        meshes only.
+        K is the sum over axes of K1 (x) M1 (x) M1. Dropping the rows and
+        columns of the outflow faces (corners included) leaves the same sum
+        over each axis's free indices, so with the per-axis eigenvectors S
+        the solve is a contraction with S^T per axis, a divide by
+        lam_x + lam_y + lam_z and a contraction with S per axis (Lynch, Rice
+        & Thomas 1964). Without an outflow face K is singular: the Euclidean
+        mean is removed from b first and from p last, the convention of
+        mean-deflated CG.
         """
-        mesh = self.mesh
-        if not all(mesh.periodic):
-            raise FieldError("direct Laplacian solve needs a periodic mesh")
-        s_axes, inv_lam = self._laplacian_factors
-        x = (values - values.mean()).reshape(inv_lam.shape)
+        keep, s_axes, inv_lam = self._laplacian_factors
+        grid = self.mesh.dofs_per_axis[::-1]
+        singular = inv_lam.size == self.mesh.n_dofs
+        if singular:
+            values = values - values.mean()
+        x = values.reshape(grid)[keep]
         for a, s in enumerate(s_axes):
             x = apply_along_axis(s.T, x, a)
         x *= inv_lam
         for a, s in enumerate(s_axes):
             x = apply_along_axis(s, x, a)
-        x = x.ravel()
-        return x - x.mean()
+        if singular:
+            x = x.ravel()
+            return x - x.mean()
+        out = np.zeros(grid)
+        out[keep] = x
+        return out.ravel()
 
 
 def assemble_lumped_mass(mesh, basis=None):

@@ -6,19 +6,11 @@ and the linear diffusion term is folded in implicitly once per step. The
 explicit part can be wrapped in multistage strong-stability-preserving
 Runge-Kutta schemes; the Poisson problem is solved at every stage.
 
-All linear systems are SPD. Where the pressure is solved depends on the
-mesh's boundary tags:
-
-- every axis periodic: the pure-Neumann pressure system is solved directly
-  by fast diagonalization of its Kronecker structure (0 iterations are
-  reported);
-- any wall or outflow face: Jacobi-preconditioned conjugate gradients, warm
-  started from the last two pressures of the same RK stage and, without
-  outflow Dirichlet rows, deflated against the constant null space every
-  iteration.
-
-The implicit diffusion solve always uses CG, so ``TimeScheme.cg_tol``
-governs the bounded-domain pressure and the diffusion only.
+All linear systems are SPD. The pressure system is solved directly on every
+mesh, by fast diagonalization of its Kronecker structure (0 iterations are
+reported); outflow faces pin the pressure, and without them the constant
+null space is dropped. The implicit diffusion solve uses conjugate
+gradients, so ``TimeScheme.cg_tol`` governs only the diffusion.
 """
 
 import time
@@ -35,6 +27,7 @@ from .boundary import (
     wall_pressure_neumann,
 )
 from .diagnostics import divergence_norm
+from .mesh import BoundaryTag
 from .operators import ConvectiveForm, GlobalOperators, ScalarField, VectorField
 from .stabilization import StabilizationConfig, StabilizationMode, momentum_stabilization
 
@@ -84,7 +77,7 @@ class TimeScheme:
     dt: float
     t_end: float = 1.0
     rk: str = "ssprk3"
-    cg_tol: float = 1e-8  # CG only: bounded-domain pressure and diffusion
+    cg_tol: float = 1e-8  # CG: the diffusion solve only
     cg_max_iters: int = 10000
     cfl_limit: float = 1.0
     diffusion_theta: float = 1.0  # 1 = backward Euler, 0.5 = trapezoidal
@@ -121,28 +114,20 @@ class StepReport:
 
 
 def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
-                       precond_diag=None, project=None):
+                       precond_diag=None):
     """Preconditioned CG for SPD operators given as a callable.
 
-    ``project`` (if given) removes a known null-space component; it is
-    applied to the right-hand side, to the residual every iteration, and to
-    the returned solution. Convergence is on the residual norm relative to
-    ||b||. Returns (x, iterations, relative_residual).
+    Convergence is on the residual norm relative to ||b||. Returns
+    (x, iterations, relative_residual).
     """
     b = np.asarray(b, dtype=float)
-    if project is not None:
-        b = project(b)
     bnorm = float(np.linalg.norm(b))
     if not np.isfinite(bnorm):
         raise LinearSolveError("non-finite right-hand side", 0, bnorm)
     if bnorm == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    if project is not None:
-        x = project(x)
     r = b - apply_op(x)
-    if project is not None:
-        r = project(r)
     inv_diag = None if precond_diag is None else 1.0 / precond_diag
     z = r if inv_diag is None else r * inv_diag
     d = z.copy()
@@ -157,8 +142,6 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
                 iters, rnorm / bnorm,
             )
         ad = apply_op(d)
-        if project is not None:
-            ad = project(ad)
         dad = float(d @ ad)
         if dad <= 0.0:
             raise LinearSolveError(
@@ -169,8 +152,6 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
         alpha = rz / dad
         x += alpha * d
         r -= alpha * ad
-        if project is not None:
-            r = project(r)
         z = r if inv_diag is None else r * inv_diag
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
@@ -182,19 +163,12 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
             f"CG residual became non-finite after {iters} iterations",
             iters, rnorm,
         )
-    if project is not None:
-        x = project(x)
     return x, iters, rnorm / bnorm
 
 
-def _remove_mean(v):
-    return v - v.mean()
-
-
 def solve_spd_system(apply_op, b, *, constrained=None, values=None,
-                     deflate_mean=False, tol=1e-8, max_iters=10000,
-                     precond_diag=None, x0=None):
-    """Solve A x = b with optional Dirichlet constraints or mean deflation.
+                     tol=1e-8, max_iters=10000, precond_diag=None, x0=None):
+    """Solve A x = b by CG with optional Dirichlet constraints.
 
     Constrained rows are replaced by the identity (their right-hand side is
     moved across), which keeps the reduced operator SPD.
@@ -225,44 +199,36 @@ def solve_spd_system(apply_op, b, *, constrained=None, values=None,
             precond_diag=pd,
         )
         return z + xc, iters, res
-    project = _remove_mean if deflate_mean else None
     return conjugate_gradient(
         apply_op, b, x0=x0, tol=tol, max_iters=max_iters,
-        precond_diag=precond_diag, project=project,
+        precond_diag=precond_diag,
     )
 
 
-def solve_poisson(ops: GlobalOperators, rhs: ScalarField, *, constrained=None,
-                  values=None, tol=1e-10, max_iters=10000, x0=None,
-                  precond_diag=None):
-    """Solve the SPD weak Laplacian system K p = rhs; returns (p, iterations).
+def solve_poisson(ops: GlobalOperators, rhs: ScalarField, *, values=None,
+                  tol=None):
+    """Solve the SPD weak Laplacian system K p = rhs; returns (p, 0).
 
-    On a fully periodic mesh the pure-Neumann system is solved directly by
-    fast diagonalization and reports 0 iterations; ``tol``, ``max_iters``,
-    ``x0`` and ``precond_diag`` apply only to the CG path that every mesh
-    with a wall or outflow face takes. Without Dirichlet rows the system is
-    pure Neumann and CG removes the constant null space by mean deflation.
-    Either way the returned pressure has zero Euclidean mean.
+    The solve is direct (:meth:`GlobalOperators.solve_laplacian`), so it
+    reports 0 iterations and ``tol`` has no effect. ``values`` gives the
+    pressure on the outflow faces, whose DoFs are pinned (zero if omitted);
+    it is lifted into the right-hand side. Without an outflow face the
+    system is pure Neumann and the returned pressure has zero Euclidean
+    mean.
     """
     mesh = ops.mesh
-    if all(mesh.periodic) and constrained is None:
-        if not np.isfinite(rhs.values.sum()):
-            raise LinearSolveError("non-finite right-hand side in the direct "
-                                   "Poisson solve", 0, float("nan"))
-        return ScalarField(mesh, ops.solve_periodic_laplacian(rhs.values)), 0
-
-    def apply_k(x):
-        return ops.weak_laplacian(ScalarField(mesh, x)).values
-
-    if precond_diag is None:
-        precond_diag = ops.stiffness_diagonal()
-    deflate = constrained is None or constrained.size == 0
-    x, iters, res = solve_spd_system(
-        apply_k, rhs.values, constrained=constrained, values=values,
-        deflate_mean=deflate, tol=tol, max_iters=max_iters,
-        precond_diag=precond_diag, x0=x0,
-    )
-    return ScalarField(mesh, x), iters
+    b = rhs.values
+    if not np.isfinite(b.sum()):
+        raise LinearSolveError("non-finite right-hand side in the direct "
+                               "Poisson solve", 0, float("nan"))
+    if values is None:
+        return ScalarField(mesh, ops.solve_laplacian(b)), 0
+    lift = np.zeros(mesh.n_dofs)
+    for f in mesh.boundary_faces.values():
+        if f.tag is BoundaryTag.OUTFLOW:
+            lift[f.dof_ids] = values[f.dof_ids]
+    b = b - ops.weak_laplacian(ScalarField(mesh, lift)).values
+    return ScalarField(mesh, ops.solve_laplacian(b) + lift), 0
 
 
 class Stepper:
@@ -282,7 +248,6 @@ class Stepper:
         self.convective_form = ConvectiveForm.coerce(convective_form)
         self.boundary = boundary or build_boundary_data(ops.mesh)
         self._stiff_diag = ops.stiffness_diagonal()
-        self._p_hist = {}  # stage index -> last two pressures (warm start)
         self.pressure = ScalarField(ops.mesh)
 
     # -- pieces of one stage ---------------------------------------------------
@@ -306,43 +271,18 @@ class Stepper:
             raise SolverAbort("non-finite values in predicted velocity")
         return u_star
 
-    def solve_pressure(self, u_star: VectorField, dt=None, stage=0):
-        """Weak Poisson solve for the stage pressure from div(u*)/dt.
-
-        On a fully periodic mesh :func:`solve_poisson` solves directly.
-        Elsewhere CG starts from the extrapolation of the last two pressures
-        solved for the same RK stage, which typically halves the iteration
-        count.
-        """
+    def solve_pressure(self, u_star: VectorField, dt=None):
+        """Weak Poisson solve for the stage pressure from div(u*)/dt."""
         dt = self.scheme.dt if dt is None else dt
         ops, bdata = self.ops, self.boundary
         b = -(1.0 / dt) * ops.weak_divergence(u_star).values
         if bdata.has_walls and self.physics.nu > 0 and ops.mesh.dim >= 2:
             flux = wall_pressure_neumann(ops, bdata, u_star, self.physics.nu)
             b += poisson_boundary_term(ops, bdata, flux).values
-        constrained = None
         values = None
         if bdata.has_outflow:
-            constrained = bdata.outflow_dofs
             values = outflow_pressure_dirichlet(ops, bdata, u_star, self.physics.nu)
-        direct = all(ops.mesh.periodic)
-        hist = None if direct else self._p_hist.get(stage)
-        if hist is None:
-            x0 = None
-        elif len(hist) == 1:
-            x0 = hist[0]
-        else:
-            x0 = 2.0 * hist[1] - hist[0]
-        p, iters = solve_poisson(
-            ops, ScalarField(ops.mesh, b), constrained=constrained,
-            values=values, tol=self.scheme.cg_tol,
-            max_iters=self.scheme.cg_max_iters, x0=x0,
-            precond_diag=self._stiff_diag,
-        )
-        if not direct:
-            self._p_hist[stage] = ((hist[-1], p.values) if hist
-                                   else (p.values,))
-        return p, iters
+        return solve_poisson(ops, ScalarField(ops.mesh, b), values=values)
 
     def correct(self, u_star: VectorField, p: ScalarField, dt=None) -> VectorField:
         """Projection update u** = u* - dt g_h(p)."""
@@ -413,13 +353,13 @@ class Stepper:
         poisson_iters = []
         u0 = u
         prev = u
-        for s, (a, b, c) in enumerate(stages):
+        for a, b, c in stages:
             rhs = self.inviscid_rhs(prev)
             data = b * prev.data + (c * dt) * rhs
             if a != 0.0:
                 data = data + a * u0.data
             v = VectorField(self.ops.mesh, data)
-            p, iters = self.solve_pressure(v, dt, stage=s)
+            p, iters = self.solve_pressure(v, dt)
             poisson_iters.append(iters)
             v = self.correct(v, p, dt)
             apply_velocity_dirichlet(v, self.boundary)

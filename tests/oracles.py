@@ -77,11 +77,14 @@ class DenseOracle:
             np.einsum("q,qi,qj->ij", self.wq, self.phi, self.dphi[k])
             for k in range(dim)
         ]
+        # np.add.at, not +=, here and below: with one element on a periodic
+        # axis an element holds the same DoF twice, and fancy-index += would
+        # drop a copy.
         for e in range(mesh.n_elems):
-            dofs = mesh.elem_to_dofs[e]
-            self.mass[np.ix_(dofs, dofs)] += mass_block
+            dofs = np.ix_(mesh.elem_to_dofs[e], mesh.elem_to_dofs[e])
+            np.add.at(self.mass, dofs, mass_block)
             for k in range(dim):
-                self.grad[k][np.ix_(dofs, dofs)] += grad_blocks[k]
+                np.add.at(self.grad[k], dofs, grad_blocks[k])
         self.stiff = sum(self._assemble_pairwise(k, k) for k in range(dim))
         self.lumped = self.mass.sum(axis=1)
 
@@ -93,7 +96,7 @@ class DenseOracle:
             block = np.einsum(
                 "q,qi,qj->ij", self.wq, self.dphi[ka], self.dphi[kb]
             )
-            out[np.ix_(dofs, dofs)] += block
+            np.add.at(out, np.ix_(dofs, dofs), block)
         return out
 
     # -- operator applications -------------------------------------------------
@@ -134,7 +137,7 @@ class DenseOracle:
                         val = float(uq @ gq[m]) + 0.5 * uq[m] * divq
                     else:
                         raise ValueError(form)
-                    out[m, dofs] += self.wq[q] * val * self.phi[q]
+                    np.add.at(out[m], dofs, self.wq[q] * val * self.phi[q])
         return out
 
     def upwind_viscosity(self, udata):
@@ -154,7 +157,8 @@ class DenseOracle:
             for q in range(self.nq):
                 for k in range(self.mesh.dim):
                     gph = self.dphi[k, q] @ loc
-                    out[dofs] += nu_elem[e] * self.wq[q] * gph * self.dphi[k, q]
+                    np.add.at(out, dofs,
+                              nu_elem[e] * self.wq[q] * gph * self.dphi[k, q])
         return out
 
     def lps(self, phi_vals, nu_elem, c_s):
@@ -168,9 +172,9 @@ class DenseOracle:
             for q in range(self.nq):
                 for k in range(self.mesh.dim):
                     diff = self.phi[q] @ gloc[k] - self.dphi[k, q] @ loc
-                    out[dofs] += (
+                    np.add.at(out, dofs, (
                         c_s * nu_elem[e] * self.wq[q] * diff * self.dphi[k, q]
-                    )
+                    ))
         return out
 
     def momentum_stabilization(self, udata, mode, c_s=1.0):

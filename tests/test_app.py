@@ -15,8 +15,10 @@ from lpsflow.cases import (
 from lpsflow.cli import main
 from lpsflow.config import ConfigError, PRESETS, RunConfig, load_config, parse_overrides
 from lpsflow.diagnostics import kinetic_energy, read_csv
-from lpsflow.operators import GlobalOperators
+from lpsflow.operators import ConvectiveForm, GlobalOperators
 from lpsflow.snapshot import read_csv_points, write_snapshot
+from lpsflow.stabilization import StabilizationMode
+from lpsflow.stepper import RK_STAGES
 
 from conftest import periodic_mesh, walled_mesh
 
@@ -143,6 +145,17 @@ class TestConfig:
     def test_unknown_case_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.resolve({("case", "name"): "cavity"})
+
+    @pytest.mark.parametrize("seckey,names", [
+        (("scheme", "rk"), list(RK_STAGES)),
+        (("stabilization", "stabilization"), [m.value for m in StabilizationMode]),
+        (("scheme", "convective_form"), [f.value for f in ConvectiveForm]),
+    ])
+    def test_name_lists_follow_their_owners(self, seckey, names):
+        for name in names:
+            assert RunConfig.resolve({seckey: name}).get(*seckey) == name
+        with pytest.raises(ConfigError):
+            RunConfig.resolve({seckey: "bogus"})
 
     def test_overrides_win_over_file(self):
         cfg = RunConfig.resolve(

@@ -247,7 +247,7 @@ class TestVelocityDirichlet:
         outlet = mesh.boundary_faces["x_max"]
         corners = np.intersect1d(outlet.dof_ids, bd.wall_dofs)
         assert corners.size > 0
-        assert np.all(np.isin(corners, bd.pressure_constrained))
+        assert np.all(np.isin(corners, bd.outflow_dofs))
 
 
 def test_outflow_config_validation():

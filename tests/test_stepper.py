@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from lpsflow.boundary import build_boundary_data
 from lpsflow.diagnostics import divergence_norm, kinetic_energy
 from lpsflow.mesh import build_structured_mesh, periodic_tags, wall_tags
 from lpsflow.operators import (
-    FieldError,
     GlobalOperators,
     ScalarField,
     VectorField,
@@ -72,22 +72,6 @@ class TestConjugateGradient:
         with pytest.raises(LinearSolveError, match="breakdown"):
             conjugate_gradient(lambda v: -v, np.array([1.0, 2.0]))
 
-    def test_singular_system_needs_deflation(self):
-        # Graph Laplacian of a cycle: singular with constant null space. An
-        # rhs with a mean component (as produced by accumulated round-off)
-        # stalls plain CG; deflating the mean every iteration converges.
-        n = 16
-        a = 2 * np.eye(n) - np.roll(np.eye(n), 1, 0) - np.roll(np.eye(n), -1, 0)
-        b = np.sin(2 * np.pi * np.arange(n) / n) + 0.01
-        with pytest.raises(LinearSolveError):
-            conjugate_gradient(lambda v: a @ v, b, tol=1e-14, max_iters=10 * n)
-        x, _, _ = conjugate_gradient(
-            lambda v: a @ v, b, tol=1e-13, max_iters=10 * n,
-            project=lambda v: v - v.mean(),
-        )
-        assert np.linalg.norm(a @ x - (b - b.mean())) < 1e-11
-        assert abs(x.mean()) < 1e-13
-
 
 class TestSolvePoisson:
     def test_manufactured_periodic_1d(self):
@@ -121,8 +105,50 @@ class TestSolvePoisson:
         assert abs(p.values.mean()) < 1e-12 * np.max(np.abs(p.values))
 
 
-# Unequal element counts and extents per axis; every axis periodic.
+# Unequal element counts and extents per axis.
 _EXTENTS = [(0.0, 1.0), (-1.0, 2.5), (0.5, 1.25)]
+
+
+def _tags(dim, spec):
+    """'periodic', or 'wall' followed by outflow faces ('x_max') and
+    periodic axes ('y')."""
+    words = spec.split()
+    if words[0] == "periodic":
+        return periodic_tags(dim)
+    tags = wall_tags(dim)
+    for w in words[1:]:
+        if w in tags:
+            tags[w] = "outflow"
+        else:
+            tags[f"{w}_min"] = tags[f"{w}_max"] = "periodic"
+    return tags
+
+
+def _check_against_oracle(dim, elems, p, spacing, over, spec, rng):
+    mesh = build_structured_mesh(dim, _EXTENTS[:dim], elems, p, spacing,
+                                 _tags(dim, spec))
+    basis = mesh.basis.over_integrated() if over else None
+    ops = GlobalOperators(mesh, basis)
+    dense = DenseOracle(mesh, basis)
+    b = rng.standard_normal(mesh.n_dofs)
+    pinned = build_boundary_data(mesh).outflow_dofs
+    data = rng.standard_normal(mesh.n_dofs) if pinned.size else None
+    x, iters = solve_poisson(ops, ScalarField(mesh, b), values=data)
+    assert iters == 0
+    x = x.values
+    if pinned.size == 0:
+        # No outflow: the constant null space is dropped, K x = b - mean(b).
+        want = b - b.mean()
+        res = np.linalg.norm(dense.laplacian(x) - want)
+        assert res <= 1e-12 * np.linalg.norm(want)
+        assert abs(x.mean()) <= 1e-14 * np.max(np.abs(x))
+        return
+    # Outflow rows hold the data; every other row satisfies K x = b.
+    free = np.ones(mesh.n_dofs, dtype=bool)
+    free[pinned] = False
+    res = np.linalg.norm((dense.laplacian(x) - b)[free])
+    assert res <= 1e-12 * np.linalg.norm(b[free])
+    assert np.array_equal(x[pinned], data[pinned])
 
 
 class TestDirectPoissonSolve:
@@ -145,21 +171,37 @@ class TestDirectPoissonSolve:
         (3, (2, 2, 2), 3, "equispaced", False),
         (3, (2, 3, 2), 4, "equispaced", False),
         (3, (2, 3, 2), 2, "gll", True),
+        # One element on a periodic axis: an element holds a DoF twice.
+        (3, (2, 1, 2), 4, "equispaced", False),
+        (2, (2, 1), 8, "gll", False),
     ])
     def test_matches_dense_oracle(self, dim, elems, p, spacing, over, rng):
-        mesh = build_structured_mesh(dim, _EXTENTS[:dim], elems, p, spacing,
-                                     periodic_tags(dim))
-        basis = mesh.basis.over_integrated() if over else None
-        ops = GlobalOperators(mesh, basis)
-        dense = DenseOracle(mesh, basis)
-        b = rng.standard_normal(mesh.n_dofs)
-        x, iters = solve_poisson(ops, ScalarField(mesh, b))
-        assert iters == 0
-        # The constant null space is deflated as in CG: K x = b - mean(b).
-        want = b - b.mean()
-        res = np.linalg.norm(dense.laplacian(x.values) - want)
-        assert res <= 1e-12 * np.linalg.norm(want)
-        assert abs(x.values.mean()) <= 1e-14 * np.max(np.abs(x.values))
+        _check_against_oracle(dim, elems, p, spacing, over, "periodic", rng)
+
+    @pytest.mark.parametrize("dim,elems,p,spacing,over,tags", [
+        (1, (4,), 2, "gll", False, "wall"),
+        (1, (3,), 3, "equispaced", True, "wall"),
+        (2, (3, 2), 4, "gll", False, "wall"),
+        (2, (2, 3), 3, "equispaced", False, "wall"),
+        (2, (3, 2), 2, "gll", False, "wall x"),
+        (3, (2, 3, 2), 2, "gll", True, "wall"),
+        (3, (2, 2, 2), 4, "equispaced", False, "wall"),
+        (1, (4,), 2, "gll", False, "wall x_max"),
+        (1, (3,), 4, "equispaced", False, "wall x_min x_max"),
+        (2, (3, 2), 4, "gll", False, "wall x_max"),
+        (2, (2, 3), 3, "equispaced", True, "wall x_min"),
+        (2, (4, 3), 2, "gll", False, "wall x_max y"),
+        (3, (2, 3, 2), 2, "gll", False, "wall x_max"),
+        (3, (2, 2, 2), 4, "equispaced", False, "wall z_min"),
+        (2, (3, 2), 2, "gll", False, "wall x_max y_max"),
+        (2, (2, 3), 4, "equispaced", False, "wall x_min x_max y_min"),
+        (3, (2, 3, 2), 3, "gll", False, "wall x_max z_min"),
+        (3, (2, 2, 3), 1, "gll", True, "wall x_max y_min"),
+        (3, (3, 2, 2), 3, "equispaced", False, "wall x_max y_min z"),
+    ])
+    def test_bounded_matches_dense_oracle(self, dim, elems, p, spacing, over,
+                                          tags, rng):
+        _check_against_oracle(dim, elems, p, spacing, over, tags, rng)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_rhs_raises(self, bad):
@@ -170,21 +212,18 @@ class TestDirectPoissonSolve:
             solve_poisson(GlobalOperators(mesh), ScalarField(mesh, b))
 
     def test_dispatch_follows_boundary_tags(self):
-        # Fully periodic: direct solve at every stage. Any wall: CG.
-        for mesh, direct in ((periodic_mesh(2, 4, 2), True),
-                             (walled_mesh(2, 4, 2), False)):
+        # Periodic, walled and outflow meshes all solve directly.
+        tags = wall_tags(2)
+        tags["x_max"] = "outflow"
+        outflow = build_structured_mesh(2, [(0.0, 1.0)] * 2, (4, 4), 2, "gll",
+                                        tags)
+        for mesh in (periodic_mesh(2, 4, 2), walled_mesh(2, 4, 2), outflow):
             st = make_stepper(mesh, nu=0.01, dt=0.01, rk="ssprk3")
             x, y = mesh.node_coords[:, 0], mesh.node_coords[:, 1]
             u = VectorField(mesh, np.stack([np.sin(3 * x) * np.sin(3 * y),
                                             np.zeros(mesh.n_dofs)]))
             _, rep = st.step(u, 0.0)
-            if direct:
-                assert rep.poisson_iters == (0, 0, 0)
-            else:
-                assert len(rep.poisson_iters) == 3
-                assert min(rep.poisson_iters) > 0
-                with pytest.raises(FieldError):
-                    st.ops.solve_periodic_laplacian(np.ones(mesh.n_dofs))
+            assert rep.poisson_iters == (0, 0, 0)
 
 
 class TestPredict:
@@ -219,6 +258,17 @@ class TestPredict:
         dense = DenseOracle(mesh)
         want = dense.predict(u.data, dt, form, mode)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["none", "upwind", "lps"])
+    def test_one_element_axis_matches_dense(self, mode, rng):
+        # One element on a periodic axis: an element holds a DoF twice.
+        mesh = build_structured_mesh(2, [(0.0, 2.0), (0.0, 1.0)], (3, 1), 2,
+                                     "gll", periodic_tags(2))
+        u = VectorField(mesh, rng.standard_normal((2, mesh.n_dofs)))
+        stab = StabilizationConfig(mode, 1.0) if mode != "none" else None
+        st = make_stepper(mesh, dt=1e-2, stab=stab)
+        want = DenseOracle(mesh).predict(u.data, 1e-2, "skew", mode)
+        assert np.max(np.abs(st.predict(u).data - want)) < 1e-12
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_aborts(self):
