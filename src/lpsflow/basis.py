@@ -163,9 +163,10 @@ class Basis1D:
             quad_nodes, self.nodes
         )
         if collocated:
-            B = np.eye(self.n_nodes)
-        # l'_j has degree p-1, so its nodal interpolant is exact: Dq = B @ D.
-        Dq = B @ self.diff_matrix
+            B, Dq = np.eye(self.n_nodes), self.diff_matrix
+        else:
+            # l'_j has degree p-1, so its nodal interpolant is exact.
+            Dq = B @ self.diff_matrix
         return Basis1D(
             order=self.order,
             nodes=self.nodes,
@@ -193,27 +194,15 @@ class Basis1D:
 
 
 def _make_basis(nodes, spacing):
+    """Nodal basis on ``nodes`` with the GLL rule of the same order."""
     nodes = np.asarray(nodes, dtype=float)
     p = nodes.size - 1
-    D = differentiation_matrix(nodes)
     xq, wq = gll_nodes_weights(p)
-    collocated = np.allclose(nodes, xq, atol=1e-14)
-    if collocated:
+    if np.allclose(nodes, xq, atol=1e-14):
         # Snap to the quadrature points so node/quad coordinates are bitwise
         # identical and the mass matrix is exactly diagonal.
-        base = Basis1D(
-            order=p,
-            nodes=xq,
-            quad_nodes=xq,
-            quad_weights=wq,
-            diff_matrix=differentiation_matrix(xq),
-            eval_matrix=np.eye(p + 1),
-            quad_diff_matrix=differentiation_matrix(xq),
-            collocated=True,
-            spacing=spacing,
-            quad_exact_degree=2 * p - 1,
-        )
-        return base
+        nodes = xq
+    D = differentiation_matrix(nodes)
     base = Basis1D(
         order=p,
         nodes=nodes,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import apply_along_axis
 from .mesh import BoundaryTag
 from .operators import GlobalOperators, ScalarField, VectorField
 
@@ -134,51 +135,26 @@ def wall_pressure_neumann(ops: GlobalOperators, bdata: BoundaryData,
     return out
 
 
-def _face_weight_tensor(ops: GlobalOperators, face):
-    w = ops.basis.quad_weights
-    area_jac = 1.0
-    wt = np.array([1.0])
-    for ax in sorted(face.tangent_axes, reverse=True):  # (z, y, x) layout
-        wt = np.multiply.outer(wt, w)
-        area_jac *= ops.mesh.h_axes[ax] / 2.0
-    return wt[0] * area_jac if wt.ndim > 1 else wt * area_jac
-
-
-def _face_apply_mass(ops: GlobalOperators, face, nodal_on_face):
-    """Surface-quadrature residual on one face: entry i = quad_face(l_i g)."""
-    dim = ops.mesh.dim
-    m = ops.basis.n_nodes
-    nt = dim - 1
-    if nt == 0:
-        return nodal_on_face  # 1D: the face is a point with unit measure
-    vals = nodal_on_face.reshape((-1,) + (m,) * nt)
-    wt = _face_weight_tensor(ops, face)
-    B, Bt = ops.basis.eval_matrix, ops.basis.eval_matrix.T
-    out = vals
-    if not ops.basis.collocated:
-        for a in range(1, nt + 1):
-            out = GlobalOperators._apply(B, out, a)
-    out = out * wt
-    if not ops.basis.collocated:
-        for a in range(1, nt + 1):
-            out = GlobalOperators._apply(Bt, out, a)
-    return out.reshape(vals.shape[0], -1)
-
-
 def poisson_boundary_term(ops: GlobalOperators, bdata: BoundaryData,
                           flux_by_face) -> ScalarField:
-    """Accumulate the wall Neumann surface integral into a global residual."""
-    out = np.zeros(ops.mesh.n_dofs)
+    """Accumulate the wall Neumann surface integral into a global residual.
+
+    A face is a slice of the DoF grid, and its mass is the product of the
+    tangent axes' 1D masses M1, so entry i is the face integral of l_i g.
+    In 1D the face is a point of unit measure.
+    """
+    mesh = ops.mesh
+    out = np.zeros(mesh.n_dofs)
     for f in bdata.wall_faces:
         flux = flux_by_face.get(f.name)
         if flux is None:
             continue
-        full = np.zeros(ops.mesh.n_dofs)
-        full[f.dof_ids] = flux
-        nodal = full[f.elem_face_dofs]
-        contrib = _face_apply_mass(ops, f, nodal)
-        np.add.at(out, f.elem_face_dofs.ravel(), contrib.ravel())
-    return ScalarField(ops.mesh, out)
+        tangents = [k for k in reversed(range(mesh.dim)) if k != f.axis]
+        x = np.reshape(flux, [mesh.dofs_per_axis[k] for k in tangents])
+        for a, k in enumerate(tangents):
+            x = apply_along_axis(ops.axis_matrices[k][1], x, a)
+        out[f.dof_ids] += x.ravel()
+    return ScalarField(mesh, out)
 
 
 def outflow_pressure_dirichlet(ops: GlobalOperators, bdata: BoundaryData,

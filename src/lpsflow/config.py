@@ -60,13 +60,10 @@ _SCHEMA = {
     ("scheme", "convective_form"): (str, "skew"),
     ("stabilization", "stabilization"): (str, "lps"),
     ("stabilization", "c_s"): (float, 1.0),
-    ("outflow", "U0"): (float, 1.0),
-    ("outflow", "beta"): (float, 0.1),
     ("output", "dir"): (str, "out"),
     ("output", "every_steps"): (int, 10),
     ("output", "snapshot_every"): (float, 0.0),  # time units; 0 disables
     ("output", "snapshot_format"): (str, "vtk"),
-    ("output", "workers"): (int, 1),
 }
 
 _TWO_PI = 2.0 * math.pi
@@ -252,8 +249,6 @@ class RunConfig:
             raise ConfigError("c_s must lie in [0, 1]")
         if v[("output", "snapshot_format")] not in ("vtk", "csv"):
             raise ConfigError("snapshot_format must be vtk or csv")
-        if v[("output", "workers")] < 1:
-            raise ConfigError("workers must be >= 1")
         case = self.case
         if case in ("shear_layer", "tgv2d") and dim != 2:
             raise ConfigError(f"case {case} requires dim=2")

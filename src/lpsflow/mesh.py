@@ -7,12 +7,14 @@ periodic axis identifies the DoF at b_k with the one at a_k.
 """
 
 import enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import Basis1D, make_basis
 
 __all__ = [
+    "NameEnum",
     "BoundaryTag",
     "BoundaryFace",
     "Mesh",
@@ -26,10 +28,8 @@ __all__ = [
 _AXIS_NAMES = ("x", "y", "z")
 
 
-class BoundaryTag(enum.Enum):
-    PERIODIC = "periodic"
-    DIRICHLET_WALL = "wall"
-    OUTFLOW = "outflow"
+class NameEnum(enum.Enum):
+    """An enum of names that also accepts its members' string values."""
 
     @classmethod
     def coerce(cls, value):
@@ -38,10 +38,16 @@ class BoundaryTag(enum.Enum):
         try:
             return cls(str(value).lower())
         except ValueError:
-            names = ", ".join(t.value for t in cls)
+            names = ", ".join(m.value for m in cls)
             raise ValueError(
-                f"unknown boundary tag {value!r} (expected one of: {names})"
+                f"unknown {cls.__name__} {value!r} (expected one of: {names})"
             ) from None
+
+
+class BoundaryTag(NameEnum):
+    PERIODIC = "periodic"
+    DIRICHLET_WALL = "wall"
+    OUTFLOW = "outflow"
 
 
 class MeshError(ValueError):
@@ -65,26 +71,20 @@ def wall_tags(dim):
     return {name: BoundaryTag.DIRICHLET_WALL for name in face_names(dim)}
 
 
+@dataclass(eq=False)
 class BoundaryFace:
-    """One tagged non-periodic side of the box.
-
-    Carries the global DoF ids on the face, the outward unit normal, and the
-    per-element face structure used for surface quadrature: ``elem_ids`` are
-    the adjacent element ids and ``elem_face_dofs[e]`` the global ids of that
-    element's face nodes in tangential tensor order.
+    """One tagged non-periodic side of the box: the slice of the DoF grid at
+    index 0 (side 0) or N-1 (side 1) along ``axis``, with the outward unit
+    normal. ``dof_ids`` are ascending, so face data is that slice in
+    (z, y, x) order.
     """
 
-    def __init__(self, name, axis, side, tag, dof_ids, normal, elem_ids,
-                 elem_face_dofs, tangent_axes):
-        self.name = name
-        self.axis = axis
-        self.side = side
-        self.tag = tag
-        self.dof_ids = dof_ids
-        self.normal = normal
-        self.elem_ids = elem_ids
-        self.elem_face_dofs = elem_face_dofs
-        self.tangent_axes = tangent_axes
+    name: str
+    axis: int
+    side: int
+    tag: BoundaryTag
+    dof_ids: np.ndarray
+    normal: np.ndarray
 
     def __repr__(self):
         return (f"BoundaryFace({self.name}, tag={self.tag.value}, "
@@ -121,11 +121,12 @@ class Mesh:
 
         self._axis_dof_maps = [self._axis_dof_map(k) for k in range(dim)]
         self._axis_coords = [self._axis_coordinates(k) for k in range(dim)]
-        self.elem_to_dofs = self._build_elem_to_dofs()
+        dof_grid = np.arange(self.n_dofs).reshape(self.dofs_per_axis[::-1])
+        self.elem_to_dofs = self._build_elem_to_dofs(dof_grid)
         self.node_coords = self._build_node_coords()
         self.elem_origins = self._build_elem_origins()
         self.h_elem = np.full(self.n_elems, min(self.h_axes))
-        self.boundary_faces = self._build_boundary_faces()
+        self.boundary_faces = self._build_boundary_faces(dof_grid)
 
     # -- construction helpers -------------------------------------------------
 
@@ -150,24 +151,14 @@ class Mesh:
         # non-periodic final DoF lands on b exactly since ref[0] = -1.
         return a + (u // p) * h + (ref[u % p] + 1.0) * (0.5 * h)
 
-    def _build_elem_to_dofs(self):
-        dim = self.dim
-        shape_elems = self.elems_per_axis[::-1]  # (z, y, x) orders the flat id
-        grids = np.meshgrid(
-            *[np.arange(n) for n in shape_elems], indexing="ij"
-        )
-        # grids[j] is the element index along spatial axis dim-1-j.
-        flat = [g.ravel() for g in grids]
-        m = self.order + 1
-        out = np.zeros((self.n_elems,) + (m,) * dim, dtype=np.int64)
-        for j in range(dim):
-            axis_k = dim - 1 - j
-            amap = self._axis_dof_maps[axis_k][flat[j]]  # (n_elems, m)
-            stride = int(np.prod(self.dofs_per_axis[:axis_k], dtype=np.int64))
-            shape = [self.n_elems] + [1] * dim
-            shape[1 + j] = m
-            out = out + amap.reshape(shape) * stride
-        return out.reshape(self.n_elems, self.nodes_per_elem)
+    def _build_elem_to_dofs(self, dof_grid):
+        # Gather the (n_z m, n_y m, n_x m) element-node grid, then bring the
+        # element indices to the front: (ez, ey, ex, iz, iy, ix).
+        maps = self._axis_dof_maps[::-1]
+        ids = dof_grid[np.ix_(*[a.ravel() for a in maps])]
+        ids = ids.reshape([s for a in maps for s in a.shape])
+        order = list(range(0, 2 * self.dim, 2)) + list(range(1, 2 * self.dim, 2))
+        return ids.transpose(order).reshape(self.n_elems, self.nodes_per_elem)
 
     def _build_node_coords(self):
         axes = [self._axis_coords[k] for k in range(self.dim)]
@@ -186,50 +177,20 @@ class Mesh:
             origins[:, k] = a + e * self.h_axes[k]
         return origins
 
-    def _build_boundary_faces(self):
+    def _build_boundary_faces(self, dof_grid):
         faces = {}
         for k in range(self.dim):
             if self.periodic[k]:
                 continue
             for side in (0, 1):
                 name = f"{_AXIS_NAMES[k]}_{'min' if side == 0 else 'max'}"
-                tag = self.boundary_tags[name]
-                faces[name] = self._make_face(name, k, side, tag)
+                index = 0 if side == 0 else self.dofs_per_axis[k] - 1
+                dof_ids = np.take(dof_grid, index, axis=self.dim - 1 - k).ravel()
+                normal = np.zeros(self.dim)
+                normal[k] = -1.0 if side == 0 else 1.0
+                faces[name] = BoundaryFace(name, k, side, self.boundary_tags[name],
+                                           dof_ids, normal)
         return faces
-
-    def _make_face(self, name, axis, side, tag):
-        dim, p = self.dim, self.order
-        # Global DoFs with grid index 0 or N-1 along `axis`.
-        idx1d = [np.arange(nk) for nk in self.dofs_per_axis]
-        idx1d[axis] = np.array([0 if side == 0 else self.dofs_per_axis[axis] - 1])
-        grids = np.meshgrid(*idx1d[::-1], indexing="ij")
-        flat = np.zeros_like(grids[0])
-        for k in range(dim):
-            stride = int(np.prod(self.dofs_per_axis[:k], dtype=np.int64))
-            flat = flat + grids[dim - 1 - k] * stride
-        dof_ids = np.sort(flat.ravel())
-
-        normal = np.zeros(dim)
-        normal[axis] = -1.0 if side == 0 else 1.0
-
-        # Elements adjacent to the face and their face-node slice.
-        eidx1d = [np.arange(nk) for nk in self.elems_per_axis]
-        eidx1d[axis] = np.array([0 if side == 0 else self.elems_per_axis[axis] - 1])
-        egrids = np.meshgrid(*eidx1d[::-1], indexing="ij")
-        eflat = np.zeros_like(egrids[0])
-        for k in range(dim):
-            stride = int(np.prod(self.elems_per_axis[:k], dtype=np.int64))
-            eflat = eflat + egrids[dim - 1 - k] * stride
-        elem_ids = eflat.ravel()
-
-        m = p + 1
-        local = self.elem_to_dofs[elem_ids].reshape((elem_ids.size,) + (m,) * dim)
-        tensor_axis = 1 + (dim - 1 - axis)
-        face_dofs = np.take(local, 0 if side == 0 else p, axis=tensor_axis)
-        face_dofs = face_dofs.reshape(elem_ids.size, m ** (dim - 1))
-        tangent_axes = tuple(k for k in range(dim) if k != axis)
-        return BoundaryFace(name, axis, side, tag, dof_ids, normal, elem_ids,
-                            face_dofs, tangent_axes)
 
     # -- queries ---------------------------------------------------------------
 

@@ -4,21 +4,21 @@ Every operator is an element loop in disguise: gather element-local nodal
 values with fancy indexing, hit them with a precomputed element-local
 matrix (shared by all elements, since meshes are uniform boxes), and
 scatter-add back with ``np.bincount``. No global matrix is ever stored;
-only the lumped mass and the O(nloc^2) local blocks. The one exception is
-the direct Laplacian solve, which keeps dense 1D eigenvector matrices, one
-per distinct axis.
+only the lumped mass and the O(nloc^2) local blocks. The exceptions are
+dense 1D matrices: each axis's stiffness and mass (``axis_matrices``, also
+the face mass of the wall surface integral) and the direct Laplacian
+solve's eigenvectors, one per distinct axis.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
 """
 
-import enum
 from functools import cached_property
 
 import numpy as np
 
 from .basis import Basis1D, apply_along_axis
-from .mesh import BoundaryTag
+from .mesh import BoundaryTag, NameEnum
 
 __all__ = [
     "ScalarField",
@@ -79,33 +79,16 @@ class VectorField:
         return VectorField(self.mesh, self.data.copy())
 
     @classmethod
-    def from_components(cls, fields):
-        mesh = fields[0].mesh
-        return cls(mesh, np.stack([f.values for f in fields]))
-
-    @classmethod
     def from_function(cls, mesh, fn):
         """Sample fn(points) -> (npts, ncomp) at the mesh nodes."""
         vals = np.asarray(fn(mesh.node_coords), dtype=float)
         return cls(mesh, vals.T.copy())
 
 
-class ConvectiveForm(enum.Enum):
+class ConvectiveForm(NameEnum):
     CONSERVATIVE = "conservative"
     NON_CONSERVATIVE = "nonconservative"
     SKEW_SYMMETRIC = "skew"
-
-    @classmethod
-    def coerce(cls, value):
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            names = ", ".join(f.value for f in cls)
-            raise ValueError(
-                f"unknown convective form {value!r} (expected: {names})"
-            ) from None
 
 
 def _check_same_mesh(mesh, field):
@@ -170,12 +153,6 @@ class GlobalOperators:
         self._inv_lumped = 1.0 / self.lumped_mass
 
     # -- kernels ---------------------------------------------------------------
-
-    @staticmethod
-    def _apply(mat, values, axis):
-        """Contract a 1D matrix along one tensor axis (used on face data)."""
-        moved = np.moveaxis(values, axis, -1)
-        return np.moveaxis(moved @ mat.T, -1, axis)
 
     def _gather(self, values):
         return values[self._gidx]
@@ -402,25 +379,39 @@ class GlobalOperators:
 
     # -- fast diagonalization of the weak Laplacian -----------------------
 
+    @cached_property
+    def axis_matrices(self):
+        """Per spatial axis k, the 1D stiffness K1 and quadrature mass M1.
+
+        Both are assembled over axis k's elements with this operator set's
+        rule, with periodic or non-periodic ends. The weak Laplacian is the
+        sum over axes of K1 (x) M1 (x) M1, and the mass of a box face is the
+        product of its tangent axes' M1.
+        """
+        mesh, b = self.mesh, self.basis
+        w, B, Dq = b.quad_weights, b.eval_matrix, b.quad_diff_matrix
+        out = []
+        for k in range(mesh.dim):
+            h, n = mesh.h_axes[k], mesh.dofs_per_axis[k]
+            ids = mesh._axis_dof_maps[k]
+            rows, cols = ids[:, :, None], ids[:, None, :]
+            k1 = np.zeros((n, n))
+            m1 = np.zeros((n, n))
+            np.add.at(k1, (rows, cols), (2.0 / h) * (Dq.T @ (w[:, None] * Dq)))
+            np.add.at(m1, (rows, cols), (0.5 * h) * (B.T @ (w[:, None] * B)))
+            out.append((k1, m1))
+        return out
+
     def _axis_eigenpairs(self, k, keep):
         """Generalized eigenpairs K1 S = M1 S diag(lam) on axis k's free DoFs.
 
-        K1 and M1 are the 1D stiffness and quadrature mass assembled with
-        this operator set's rule, restricted to the indices ``keep``; S is
-        M1-orthonormal (S^T M1 S = I). With R = M1^(-1/2) from eigh(M1), the
-        symmetric eigh(R K1 R) = V gives S = R V, for diagonal and full M1
-        alike. eigh sorts lam ascending, so on a pure-Neumann axis lam[0] = 0
-        is the constant mode.
+        K1 and M1 are ``axis_matrices[k]`` restricted to the indices
+        ``keep``; S is M1-orthonormal (S^T M1 S = I). With R = M1^(-1/2) from
+        eigh(M1), the symmetric eigh(R K1 R) = V gives S = R V, for diagonal
+        and full M1 alike. eigh sorts lam ascending, so on a pure-Neumann
+        axis lam[0] = 0 is the constant mode.
         """
-        mesh, b = self.mesh, self.basis
-        h, n = mesh.h_axes[k], mesh.dofs_per_axis[k]
-        w, B, Dq = b.quad_weights, b.eval_matrix, b.quad_diff_matrix
-        ids = mesh._axis_dof_maps[k]
-        rows, cols = ids[:, :, None], ids[:, None, :]
-        k1 = np.zeros((n, n))
-        m1 = np.zeros((n, n))
-        np.add.at(k1, (rows, cols), (2.0 / h) * (Dq.T @ (w[:, None] * Dq)))
-        np.add.at(m1, (rows, cols), (0.5 * h) * (B.T @ (w[:, None] * B)))
+        k1, m1 = self.axis_matrices[k]
         k1, m1 = k1[keep, keep], m1[keep, keep]
         mu, q = np.linalg.eigh(m1)
         r = (q / np.sqrt(mu)) @ q.T

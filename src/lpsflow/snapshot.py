@@ -34,21 +34,16 @@ def write_vtk(path, mesh, velocity=None, pressure=None, title="flow snapshot"):
         dims[k] = mesh.dofs_per_axis[k]
     pts = _points3(mesh)
     arrays = _point_arrays(mesh, velocity, pressure)
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             "DATASET STRUCTURED_GRID", f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}",
+             f"POINTS {mesh.n_dofs} double"]
+    lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in pts.tolist()]
+    lines.append(f"POINT_DATA {mesh.n_dofs}")
+    for name, vals in arrays.items():
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [f"{v:.17g}" for v in vals.tolist()]
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET STRUCTURED_GRID\n")
-        fh.write(f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\n")
-        fh.write(f"POINTS {mesh.n_dofs} double\n")
-        for row in pts:
-            fh.write(f"{row[0]:.17g} {row[1]:.17g} {row[2]:.17g}\n")
-        fh.write(f"POINT_DATA {mesh.n_dofs}\n")
-        for name, vals in arrays.items():
-            fh.write(f"SCALARS {name} double 1\n")
-            fh.write("LOOKUP_TABLE default\n")
-            for v in vals:
-                fh.write(f"{v:.17g}\n")
+        fh.write("\n".join(lines) + "\n")
     return path
 
 

@@ -11,11 +11,11 @@ right-hand side of the explicit prediction step, i.e. oriented so that
 ``sum_k u_k . s_k <= 0`` (the term removes kinetic energy).
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import NameEnum
 from .operators import GlobalOperators, ScalarField, VectorField
 
 __all__ = [
@@ -28,22 +28,10 @@ __all__ = [
 ]
 
 
-class StabilizationMode(enum.Enum):
+class StabilizationMode(NameEnum):
     NONE = "none"
     LOW_ORDER_UPWIND = "upwind"
     LPS = "lps"
-
-    @classmethod
-    def coerce(cls, value):
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            names = ", ".join(m.value for m in cls)
-            raise ValueError(
-                f"unknown stabilization mode {value!r} (expected: {names})"
-            ) from None
 
 
 @dataclass(frozen=True)

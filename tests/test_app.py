@@ -142,6 +142,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.resolve({("mesh", "order"): 2})
 
+    @pytest.mark.parametrize("seckey", [
+        ("output", "workers"), ("outflow", "U0"), ("outflow", "beta"),
+    ])
+    def test_deleted_keys_rejected(self, seckey):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            RunConfig.resolve({seckey: 1})
+
     def test_unknown_case_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.resolve({("case", "name"): "cavity"})
@@ -205,6 +212,27 @@ class TestSnapshots:
         body = "\n".join(lines)
         for name in ("u", "v", "w", "p"):
             assert f"SCALARS {name} double 1" in body
+
+    def test_vtk_exact_bytes(self, tmp_path):
+        mesh = walled_mesh(2, (2, 1), 1, length=0.3)
+        from lpsflow.operators import ScalarField, VectorField
+
+        specials = [-0.0, np.nan, np.inf, 1e-300, -np.inf, 0.1]
+        u = VectorField(mesh, np.array([specials, specials[::-1]]))
+        p = ScalarField(mesh, np.array(specials[1:] + specials[:1]))
+        path = tmp_path / "snap.vtk"
+        write_snapshot(path, mesh, u, p, fmt="vtk")
+        want = ["# vtk DataFile Version 3.0", "flow snapshot", "ASCII",
+                "DATASET STRUCTURED_GRID", "DIMENSIONS 3 2 1", "POINTS 6 double"]
+        for x, y in mesh.node_coords:
+            want.append(" ".join(format(c, ".17g") for c in (x, y, 0.0)))
+        want.append("POINT_DATA 6")
+        for name, vals in (("u", u.data[0]), ("v", u.data[1]),
+                           ("w", np.zeros(6)), ("p", p.values)):
+            want += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            want += [format(v, ".17g") for v in vals]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        assert b"\n-0\nnan\ninf\n1e-300\n-inf\n0.10000000000000001\n" in path.read_bytes()
 
     def test_csv_roundtrip(self, tmp_path):
         mesh = periodic_mesh(2, 3, 2)

@@ -194,6 +194,53 @@ class TestPoissonBoundaryTerm:
         assert abs(vals[1] - 2.0) < 2e-4
 
 
+    @pytest.mark.parametrize("dim, spacing, p", [
+        (2, "gll", 2), (2, "equispaced", 3), (3, "gll", 2), (3, "equispaced", 3),
+    ])
+    def test_exact_for_polynomial_flux(self, dim, spacing, p):
+        # Flux and test field of degree <= p per axis: their product has
+        # degree <= 2p, which the over-integrated rule (exact to 3p)
+        # integrates exactly on every face.
+        ext = [(0.5, 2.0), (-1.0, 0.5), (0.0, 1.2)][:dim]
+        mesh = build_structured_mesh(dim, ext, (3, 2, 2)[:dim], p, spacing,
+                                     wall_tags(dim))
+        ops = GlobalOperators(mesh, mesh.basis.over_integrated())
+        bd = build_boundary_data(mesh)
+        P = np.polynomial.Polynomial
+        rng = np.random.default_rng(3)
+        phi_1d = [P(rng.standard_normal(p + 1)) for _ in range(dim)]
+        g_1d = [P(rng.standard_normal(p + 1)) for _ in range(dim)]
+        x = mesh.node_coords
+        phi = np.prod([phi_1d[k](x[:, k]) for k in range(dim)], axis=0)
+        for f in bd.wall_faces:
+            g = np.prod([g_1d[k](x[f.dof_ids, k]) for k in range(dim)], axis=0)
+            got = phi @ poisson_boundary_term(ops, bd, {f.name: g}).values
+            want = phi_1d[f.axis](ext[f.axis][f.side]) * g_1d[f.axis](ext[f.axis][f.side])
+            for k in range(dim):
+                if k != f.axis:
+                    prim = (phi_1d[k] * g_1d[k]).integ()
+                    want *= prim(ext[k][1]) - prim(ext[k][0])
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_periodic_tangent_axis(self, dim):
+        tags = wall_tags(dim)
+        tags["x_min"] = tags["x_max"] = "periodic"
+        ext = [(0.0, 3.0), (0.0, 1.0), (-1.0, 1.0)][:dim]
+        mesh = build_structured_mesh(dim, ext, (4, 2, 3)[:dim], 3, "equispaced",
+                                     tags)
+        ops = GlobalOperators(mesh)
+        bd = build_boundary_data(mesh)
+        g = -0.6
+        face = mesh.boundary_faces["y_min"]
+        out = poisson_boundary_term(ops, bd, {face.name: np.full(face.dof_ids.size, g)})
+        area = 3.0 * (2.0 if dim == 3 else 1.0)
+        assert abs(out.values.sum() - g * area) < 1e-12 * area
+        off_face = np.ones(mesh.n_dofs, dtype=bool)
+        off_face[face.dof_ids] = False
+        assert np.max(np.abs(out.values[off_face])) == 0.0
+
+
 class TestVelocityDirichlet:
     def test_no_slip_enforced_exactly(self, rng):
         mesh = walled_mesh(2, 3, 2)

@@ -3,12 +3,16 @@ import pytest
 
 from lpsflow.mesh import (
     BoundaryTag,
+    NameEnum,
     MeshError,
     build_structured_mesh,
     element_size,
     periodic_tags,
     wall_tags,
 )
+
+from lpsflow.operators import ConvectiveForm
+from lpsflow.stabilization import StabilizationMode
 
 from conftest import TWO_PI, periodic_mesh, walled_mesh
 
@@ -156,3 +160,43 @@ def test_boundary_faces_exposed_with_normals():
 
 def test_periodic_mesh_has_no_boundary_faces():
     assert periodic_mesh(2, 3, 1).boundary_faces == {}
+
+
+@pytest.mark.parametrize("dim, n, tags", [
+    (1, (3,), {"x_min": "wall", "x_max": "outflow"}),
+    (1, (1,), {"x_min": "wall", "x_max": "wall"}),
+    (2, (3, 2), {"x_min": "wall", "x_max": "wall",
+                 "y_min": "periodic", "y_max": "periodic"}),
+    (2, (1, 3), {"x_min": "outflow", "x_max": "wall",
+                 "y_min": "wall", "y_max": "wall"}),
+    (3, (2, 1, 3), {"x_min": "wall", "x_max": "outflow", "y_min": "wall",
+                    "y_max": "wall", "z_min": "wall", "z_max": "wall"}),
+    (3, (2, 3, 1), {"x_min": "periodic", "x_max": "periodic", "y_min": "wall",
+                    "y_max": "wall", "z_min": "wall", "z_max": "outflow"}),
+])
+def test_face_ids_are_the_grid_slice(dim, n, tags):
+    ext = [(0.0, 1.0), (-0.5, 2.0), (0.25, 1.0)][:dim]
+    m = build_structured_mesh(dim, ext, n, 2, "gll", tags)
+    assert set(m.boundary_faces) == {k for k, t in tags.items() if t != "periodic"}
+    for f in m.boundary_faces.values():
+        assert np.all(np.diff(f.dof_ids) > 0)
+        want = int(np.prod([m.dofs_per_axis[k] for k in range(dim) if k != f.axis]))
+        assert f.dof_ids.size == want
+        plane = ext[f.axis][f.side]
+        assert np.array_equal(m.node_coords[f.dof_ids, f.axis],
+                              np.full(want, plane))
+        # No other DoF lies on the face plane.
+        on_plane = np.flatnonzero(np.abs(m.node_coords[:, f.axis] - plane) < 1e-12)
+        assert np.array_equal(on_plane, f.dof_ids)
+
+
+@pytest.mark.parametrize("cls", [BoundaryTag, ConvectiveForm, StabilizationMode])
+def test_name_enums_share_coerce(cls):
+    assert issubclass(cls, NameEnum)
+    for member in cls:
+        assert cls.coerce(member) is member
+        assert cls.coerce(member.value.upper()) is member
+    with pytest.raises(ValueError) as err:
+        cls.coerce("bogus")
+    for member in cls:
+        assert member.value in str(err.value)
