@@ -210,10 +210,10 @@ def run(cfg: RunConfig, initial_condition=None, mesh=None, log=print):
     try:
         while step_index < n_steps:
             # Land exactly on t_end when dt does not divide it.
-            dt_step = min(dt, t_end - t)
-            if dt_step < dt * (1.0 - 1e-12):
-                stepper.scheme.dt = dt_step
-            u, report = stepper.step(u, t)
+            if t_end - t < dt * (1.0 - 1e-12):
+                u, report = stepper.step(u, t, t_end - t)
+            else:
+                u, report = stepper.step(u, t)
             step_index += 1
             t = step_index * dt if step_index < n_steps else t_end
             is_last = step_index == n_steps
@@ -230,8 +230,6 @@ def run(cfg: RunConfig, initial_condition=None, mesh=None, log=print):
         message = f"{exc} (last completed time t={t:.6g})"
         records.append(compute_record(ops, u, physics.nu, stab, t))
         log(f"solver abort: {message}")
-    finally:
-        stepper.scheme.dt = dt
 
     write_csv(out_dir / "diagnostics.csv", records)
     manifest.update({

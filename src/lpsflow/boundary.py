@@ -196,28 +196,6 @@ def outflow_pressure_dirichlet(ops: GlobalOperators, bdata: BoundaryData,
     return vals
 
 
-def normal_traction_pressure(ops: GlobalOperators, bdata: BoundaryData,
-                             u: VectorField, nu: float):
-    """Outflow pressure from the plain zero-traction balance (no backflow
-    compensation); the general form must reduce to this when S0 is 0."""
-    mesh = ops.mesh
-    vals = np.zeros(mesh.n_dofs)
-    if not bdata.has_outflow or nu == 0.0:
-        return vals
-    grads = [ops.project_gradient(u.component(k)) for k in range(mesh.dim)]
-    for f in bdata.outflow_faces:
-        ids = f.dof_ids
-        n = f.normal
-        visc = np.zeros(ids.size)
-        for k in range(mesh.dim):
-            for m_ in range(mesh.dim):
-                if n[k] == 0.0 or n[m_] == 0.0:
-                    continue
-                visc += n[k] * n[m_] * (grads[k].data[m_, ids] + grads[m_].data[k, ids])
-        vals[ids] = nu * visc
-    return vals
-
-
 def apply_velocity_dirichlet(u: VectorField, bdata: BoundaryData) -> VectorField:
     """Overwrite wall DoFs with the prescribed velocity (in place)."""
     if bdata.has_walls:

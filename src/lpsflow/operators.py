@@ -6,8 +6,9 @@ matrix (shared by all elements, since meshes are uniform boxes), and
 scatter-add back with ``np.bincount``. No global matrix is ever stored;
 only the lumped mass and the O(nloc^2) local blocks. The exceptions are
 dense 1D matrices: each axis's stiffness and mass (``axis_matrices``, also
-the face mass of the wall surface integral) and the direct Laplacian
-solve's eigenvectors, one per distinct axis.
+the face mass of the wall surface integral) and their eigenvectors, one per
+distinct axis and free index range, shared by the direct Laplacian solve
+and the diffusion preconditioner.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
@@ -104,6 +105,17 @@ def _tensorize_rows(mats):
     return out
 
 
+def _diagonalized_solve(x, s_axes, inv, first_axis=0):
+    """S (inv * S^T x), each axis's S contracted along consecutive array
+    axes of x starting at ``first_axis``."""
+    for a, s in enumerate(s_axes, start=first_axis):
+        x = apply_along_axis(s.T, x, a)
+    x *= inv
+    for a, s in enumerate(s_axes, start=first_axis):
+        x = apply_along_axis(s, x, a)
+    return x
+
+
 class GlobalOperators:
     """Matrix-free actions of mass, gradient, divergence, Laplacian, ...
 
@@ -151,6 +163,7 @@ class GlobalOperators:
 
         self.lumped_mass = self._assemble_lumped_mass()
         self._inv_lumped = 1.0 / self.lumped_mass
+        self._eigenpairs = {}  # see _box_factors
 
     # -- kernels ---------------------------------------------------------------
 
@@ -371,13 +384,7 @@ class GlobalOperators:
             out[m] = nu * self._scatter(acc)
         return out
 
-    def stiffness_diagonal(self):
-        """Diagonal of the weak Laplacian (Jacobi preconditioner)."""
-        local = np.broadcast_to(np.diag(self._stiff_local),
-                                (self.mesh.n_elems, self._nloc))
-        return self._scatter(local)
-
-    # -- fast diagonalization of the weak Laplacian -----------------------
+    # -- fast diagonalization ----------------------------------------------
 
     @cached_property
     def axis_matrices(self):
@@ -418,34 +425,75 @@ class GlobalOperators:
         lam, v = np.linalg.eigh(r @ k1 @ r)
         return r @ v, lam
 
-    @cached_property
-    def _laplacian_factors(self):
-        """Per array axis (z, y, x) the free-index slice and eigenvectors S,
-        and 1 / sum of lam over the free DoFs.
+    def _box_factors(self, pinned):
+        """Per array axis (z, y, x) the free-index slice, eigenvectors S and
+        eigenvalues lam, with the DoFs of every face tagged ``pinned``
+        removed.
 
-        The DoFs of an outflow face are pinned, so an axis drops its first
-        or last index when that face is an outflow and the free DoFs stay a
-        Cartesian product. Without any outflow face K is singular and the
-        reciprocal of the constant mode (index 0 on every axis) is zero.
+        Pinning a whole face drops its axis's first or last index, so the
+        free DoFs stay a Cartesian product. Factors live in one cache keyed
+        by axis geometry and free slice, so equal axes (a cube) and the
+        pressure and diffusion solves of a periodic box share them.
         """
         mesh = self.mesh
-        pairs = {}  # equal axes (a cube) share one factorization
         keeps, s_axes, lams = [], [], []
         for k in reversed(range(mesh.dim)):
             cut = {f.side for f in mesh.boundary_faces.values()
-                   if f.axis == k and f.tag is BoundaryTag.OUTFLOW}
+                   if f.axis == k and f.tag is pinned}
             keep = slice(int(0 in cut), mesh.dofs_per_axis[k] - int(1 in cut))
             key = (mesh.elems_per_axis[k], mesh.h_axes[k], mesh.periodic[k],
                    keep.start, keep.stop)
-            if key not in pairs:
-                pairs[key] = self._axis_eigenpairs(k, keep)
+            if key not in self._eigenpairs:
+                self._eigenpairs[key] = self._axis_eigenpairs(k, keep)
+            s, lam = self._eigenpairs[key]
             keeps.append(keep)
-            s_axes.append(pairs[key][0])
-            lams.append(pairs[key][1])
+            s_axes.append(s)
+            lams.append(lam)
+        return tuple(keeps), s_axes, lams
+
+    @cached_property
+    def _laplacian_factors(self):
+        """Free slices and S per array axis for the pressure, whose outflow
+        faces are pinned, and 1 / sum of lam over the free DoFs.
+
+        Without any outflow face K is singular and the reciprocal of the
+        constant mode (index 0 on every axis) is zero.
+        """
+        keeps, s_axes, lams = self._box_factors(BoundaryTag.OUTFLOW)
         lam_sum = sum(np.ix_(*lams))
-        if lam_sum.size == mesh.n_dofs:
-            lam_sum[(0,) * mesh.dim] = np.inf
-        return tuple(keeps), s_axes, 1.0 / lam_sum
+        if lam_sum.size == self.mesh.n_dofs:
+            lam_sum[(0,) * self.mesh.dim] = np.inf
+        return keeps, s_axes, 1.0 / lam_sum
+
+    def diffusion_block_solver(self, c):
+        """Inverse of the per-component diagonal blocks of M + c S_sym.
+
+        S_sym is :meth:`symmetric_gradient_stiffness` with nu = 1; its block
+        for velocity component m is sum_k K^(k) + K^(m), where K^(k) is the
+        axis-k Kronecker term of the weak Laplacian, and the mass is taken
+        as M1 (x) M1 (x) M1 (the lumped mass at GLL). In the M1-orthonormal
+        eigenvectors S of every axis each block is the diagonal
+        1 + c (lam_x + lam_y + lam_z + lam_m). The returned callable maps a
+        flat (dim * n_dofs) vector r to z = S (1 + c lam)^-1 S^T r, all
+        components contracted together; wall DoFs are pinned, so z is zero
+        there.
+        """
+        keep, s_axes, lams = self._box_factors(BoundaryTag.DIRICHLET_WALL)
+        dim = self.mesh.dim
+        lam_axes = np.ix_(*lams)  # array axis a holds spatial axis dim-1-a
+        lam_sum = sum(lam_axes)
+        inv = np.stack([1.0 / (1.0 + c * (lam_sum + lam_axes[dim - 1 - m]))
+                        for m in range(dim)])
+        grid = (dim, *self.mesh.dofs_per_axis[::-1])
+        free = (slice(None), *keep)
+
+        def solve(r):
+            out = np.zeros(grid)
+            out[free] = _diagonalized_solve(r.reshape(grid)[free], s_axes,
+                                            inv, first_axis=1)
+            return out.ravel()
+
+        return solve
 
     def solve_laplacian(self, values):
         """Solution p of the weak Laplacian system K p = b, zero on outflow.
@@ -464,12 +512,7 @@ class GlobalOperators:
         singular = inv_lam.size == self.mesh.n_dofs
         if singular:
             values = values - values.mean()
-        x = values.reshape(grid)[keep]
-        for a, s in enumerate(s_axes):
-            x = apply_along_axis(s.T, x, a)
-        x *= inv_lam
-        for a, s in enumerate(s_axes):
-            x = apply_along_axis(s, x, a)
+        x = _diagonalized_solve(values.reshape(grid)[keep], s_axes, inv_lam)
         if singular:
             x = x.ravel()
             return x - x.mean()

@@ -49,14 +49,12 @@ def write_vtk(path, mesh, velocity=None, pressure=None, title="flow snapshot"):
 
 def write_csv_points(path, mesh, velocity=None, pressure=None):
     """Point-cloud alternative: x,y,z,u,v,w,p with one row per DoF."""
-    pts = _points3(mesh)
     arrays = _point_arrays(mesh, velocity, pressure)
+    table = np.column_stack([_points3(mesh), *arrays.values()])
+    row = ",".join(["{:.17g}"] * table.shape[1])
+    lines = ["x,y,z,u,v,w,p"] + [row.format(*r) for r in table.tolist()]
     with open(path, "w") as fh:
-        fh.write("x,y,z,u,v,w,p\n")
-        for i in range(mesh.n_dofs):
-            row = (pts[i, 0], pts[i, 1], pts[i, 2], arrays["u"][i],
-                   arrays["v"][i], arrays["w"][i], arrays["p"][i])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
     return path
 
 

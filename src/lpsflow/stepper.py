@@ -10,7 +10,11 @@ All linear systems are SPD. The pressure system is solved directly on every
 mesh, by fast diagonalization of its Kronecker structure (0 iterations are
 reported); outflow faces pin the pressure, and without them the constant
 null space is dropped. The implicit diffusion solve uses conjugate
-gradients, so ``TimeScheme.cg_tol`` governs only the diffusion.
+gradients, so ``TimeScheme.cg_tol`` governs only the diffusion. Its
+operator couples the velocity components through the transposed gradient;
+the preconditioner is the fast-diagonalization inverse of the
+per-component diagonal blocks, with the wall DoFs pinned
+(:meth:`GlobalOperators.diffusion_block_solver`).
 """
 
 import time
@@ -113,11 +117,17 @@ class StepReport:
     wall_seconds: float
 
 
+def _identity(r):
+    return r
+
+
 def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
-                       precond_diag=None):
+                       precond=_identity):
     """Preconditioned CG for SPD operators given as a callable.
 
-    Convergence is on the residual norm relative to ||b||. Returns
+    ``precond`` maps a residual r to z = P r for an SPD P that approximates
+    the inverse of the operator (default: no preconditioning). Convergence
+    is on the residual norm relative to ||b||. Returns
     (x, iterations, relative_residual).
     """
     b = np.asarray(b, dtype=float)
@@ -128,8 +138,7 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - apply_op(x)
-    inv_diag = None if precond_diag is None else 1.0 / precond_diag
-    z = r if inv_diag is None else r * inv_diag
+    z = precond(r)
     d = z.copy()
     rz = float(r @ z)
     rnorm = float(np.linalg.norm(r))
@@ -152,7 +161,7 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
         alpha = rz / dad
         x += alpha * d
         r -= alpha * ad
-        z = r if inv_diag is None else r * inv_diag
+        z = precond(r)
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
         rz = rz_new
@@ -167,11 +176,12 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
 
 
 def solve_spd_system(apply_op, b, *, constrained=None, values=None,
-                     tol=1e-8, max_iters=10000, precond_diag=None, x0=None):
-    """Solve A x = b by CG with optional Dirichlet constraints.
+                     tol=1e-8, max_iters=10000, precond=_identity, x0=None):
+    """Solve A x = b by preconditioned CG with optional Dirichlet constraints.
 
     Constrained rows are replaced by the identity (their right-hand side is
-    moved across), which keeps the reduced operator SPD.
+    moved across), which keeps the reduced operator SPD; they pass through
+    the preconditioner unchanged.
     """
     if constrained is not None and constrained.size:
         xc = np.zeros_like(b)
@@ -186,22 +196,22 @@ def solve_spd_system(apply_op, b, *, constrained=None, values=None,
             out[constrained] = v[constrained]
             return out
 
-        pd = None
-        if precond_diag is not None:
-            pd = precond_diag.copy()
-            pd[constrained] = 1.0
+        def precond_masked(r):
+            z = precond(r)
+            z[constrained] = r[constrained]
+            return z
+
         guess = None
         if x0 is not None:
             guess = x0 - xc
             guess[constrained] = 0.0
         z, iters, res = conjugate_gradient(
             apply_masked, rhs, x0=guess, tol=tol, max_iters=max_iters,
-            precond_diag=pd,
+            precond=precond_masked,
         )
         return z + xc, iters, res
     return conjugate_gradient(
-        apply_op, b, x0=x0, tol=tol, max_iters=max_iters,
-        precond_diag=precond_diag,
+        apply_op, b, x0=x0, tol=tol, max_iters=max_iters, precond=precond,
     )
 
 
@@ -247,7 +257,6 @@ class Stepper:
         )
         self.convective_form = ConvectiveForm.coerce(convective_form)
         self.boundary = boundary or build_boundary_data(ops.mesh)
-        self._stiff_diag = ops.stiffness_diagonal()
         self.pressure = ScalarField(ops.mesh)
 
     # -- pieces of one stage ---------------------------------------------------
@@ -291,7 +300,8 @@ class Stepper:
         return VectorField(self.ops.mesh, u_star.data - dt * g.data)
 
     def diffuse(self, u: VectorField, dt=None):
-        """Implicit theta-step of the symmetric-gradient viscous term."""
+        """Implicit theta-step of the symmetric-gradient viscous term, by CG
+        preconditioned with the inverse of its per-component blocks."""
         dt = self.scheme.dt if dt is None else dt
         nu = self.physics.nu
         if nu == 0.0:
@@ -318,11 +328,11 @@ class Stepper:
             mask[:, bdata.wall_dofs] = True
             constrained = np.flatnonzero(mask.ravel())
             values = bdata.wall_values.ravel()
-        diag = np.tile(mass + 2.0 * theta * dt * nu * self._stiff_diag, dim)
         x, iters, _ = solve_spd_system(
             apply_a, rhs.ravel(), constrained=constrained, values=values,
             tol=self.scheme.cg_tol, max_iters=self.scheme.cg_max_iters,
-            precond_diag=diag, x0=u.data.ravel(),
+            precond=ops.diffusion_block_solver(theta * dt * nu),
+            x0=u.data.ravel(),
         )
         return VectorField(ops.mesh, x.reshape(dim, ndofs)), iters
 
@@ -331,12 +341,13 @@ class Stepper:
     def max_speed(self, u: VectorField):
         return float(np.sqrt(np.max(np.sum(u.data**2, axis=0))))
 
-    def check_cfl(self, u: VectorField, t=None):
+    def check_cfl(self, u: VectorField, t=None, dt=None):
         limit = self.scheme.cfl_limit
         if limit is None or not np.isfinite(limit):
             return
+        dt = self.scheme.dt if dt is None else dt
         mesh = self.ops.mesh
-        cfl = self.scheme.dt * self.max_speed(u) * mesh.order / min(mesh.h_axes)
+        cfl = dt * self.max_speed(u) * mesh.order / min(mesh.h_axes)
         if cfl > limit:
             raise CflError(
                 f"CFL number {cfl:.3f} exceeds the configured limit {limit:.3f}"
@@ -344,11 +355,12 @@ class Stepper:
                 t_last=t,
             )
 
-    def step(self, u: VectorField, t: float):
-        """Advance one time step; returns (u_next, StepReport)."""
+    def step(self, u: VectorField, t: float, dt=None):
+        """Advance one time step of size dt (default ``scheme.dt``);
+        returns (u_next, StepReport)."""
         t0 = time.perf_counter()
-        dt = self.scheme.dt
-        self.check_cfl(u, t)
+        dt = self.scheme.dt if dt is None else dt
+        self.check_cfl(u, t, dt)
         stages = RK_STAGES[self.scheme.rk]
         poisson_iters = []
         u0 = u

@@ -4,6 +4,10 @@ Everything here is deliberately naive: Lagrange polynomials built from their
 roots with numpy's polynomial module, explicit Python loops over elements,
 quadrature points and basis indices, and dense global matrices. No code is
 shared with the tensor-product fast path beyond the node/weight tables.
+
+``normal_traction_pressure`` is the one exception: a reference outflow
+pressure built on the solver's own nodal gradients, against which the
+boundary tests check the backflow-compensated datum.
 """
 
 import itertools
@@ -195,3 +199,28 @@ class DenseOracle:
         rhs = -self.convective(udata, form)
         rhs += self.momentum_stabilization(udata, mode, c_s)
         return udata + dt * rhs / self.lumped
+
+
+def normal_traction_pressure(ops, bdata, u, nu):
+    """Outflow pressure from the plain zero-traction balance (no backflow
+    compensation); the general form must reduce to this when S0 is 0.
+
+    Loops over faces and normal components with the operator set's nodal
+    gradients, independently of the solver's outflow Dirichlet datum.
+    """
+    mesh = ops.mesh
+    vals = np.zeros(mesh.n_dofs)
+    if not bdata.has_outflow or nu == 0.0:
+        return vals
+    grads = [ops.project_gradient(u.component(k)) for k in range(mesh.dim)]
+    for f in bdata.outflow_faces:
+        ids = f.dof_ids
+        n = f.normal
+        visc = np.zeros(ids.size)
+        for k in range(mesh.dim):
+            for m_ in range(mesh.dim):
+                if n[k] == 0.0 or n[m_] == 0.0:
+                    continue
+                visc += n[k] * n[m_] * (grads[k].data[m_, ids] + grads[m_].data[k, ids])
+        vals[ids] = nu * visc
+    return vals

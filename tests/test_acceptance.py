@@ -12,7 +12,6 @@ import lpsflow as lf
 from lpsflow.boundary import (
     build_boundary_data,
     dong_smoothing,
-    normal_traction_pressure,
     outflow_pressure_dirichlet,
     wall_pressure_neumann,
 )
@@ -30,7 +29,7 @@ from lpsflow.stepper import (
 )
 
 from conftest import periodic_mesh
-from oracles import DenseOracle
+from oracles import DenseOracle, normal_traction_pressure
 
 
 def report(num, name, ok, detail=""):

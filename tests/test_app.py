@@ -234,6 +234,22 @@ class TestSnapshots:
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
         assert b"\n-0\nnan\ninf\n1e-300\n-inf\n0.10000000000000001\n" in path.read_bytes()
 
+    def test_csv_exact_bytes(self, tmp_path):
+        mesh = walled_mesh(2, (2, 1), 1, length=0.3)
+        from lpsflow.operators import ScalarField, VectorField
+
+        specials = [-0.0, np.nan, np.inf, 1e-300, -np.inf, 0.1]
+        u = VectorField(mesh, np.array([specials, specials[::-1]]))
+        p = ScalarField(mesh, np.array(specials[1:] + specials[:1]))
+        path = tmp_path / "snap.csv"
+        write_snapshot(path, mesh, u, p, fmt="csv")
+        want = ["x,y,z,u,v,w,p"]
+        for i, (x, y) in enumerate(mesh.node_coords):
+            row = (x, y, 0.0, u.data[0, i], u.data[1, i], 0.0, p.values[i])
+            want.append(",".join(format(v, ".17g") for v in row))
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        assert b"\n0,0,0,-0,0.10000000000000001,0,nan\n" in path.read_bytes()
+
     def test_csv_roundtrip(self, tmp_path):
         mesh = periodic_mesh(2, 3, 2)
         from lpsflow.operators import ScalarField, VectorField
@@ -292,6 +308,37 @@ class TestRun:
         r2 = run(cfg2, log=None)
         csv2 = (r2.out_dir / "diagnostics.csv").read_bytes()
         assert csv1 == csv2
+
+    def test_partial_last_step_lands_on_t_end(self, tmp_path, monkeypatch):
+        # dt = 0.005 does not divide t_end = 0.012: the last step is 0.002,
+        # passed to Stepper.step, and the shared scheme.dt is never assigned.
+        import lpsflow.app as app_module
+
+        assigned, dts = [], []
+
+        class WatchedScheme(app_module.TimeScheme):
+            def __setattr__(self, name, value):
+                if name == "dt" and "dt" in self.__dict__:
+                    assigned.append(value)
+                super().__setattr__(name, value)
+
+        class RecordingStepper(app_module.Stepper):
+            def step(self, u, t, dt=None):
+                u, rep = super().step(u, t, dt)
+                dts.append(rep.dt)
+                return u, rep
+
+        monkeypatch.setattr(app_module, "TimeScheme", WatchedScheme)
+        monkeypatch.setattr(app_module, "Stepper", RecordingStepper)
+        result = run(self.base_config(tmp_path, {("scheme", "t_end"): 0.012}),
+                     log=None)
+        assert result.exit_code == EXIT_OK
+        manifest = json.loads((result.out_dir / "run.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["n_steps"] == 3 and manifest["t_final"] == 0.012
+        assert result.records[-1].t == 0.012
+        assert dts == pytest.approx([0.005, 0.005, 0.002], rel=1e-12)
+        assert assigned == []
 
     def test_snapshot_cadence_count(self, tmp_path):
         cfg = self.base_config(

@@ -8,7 +8,6 @@ from lpsflow.boundary import (
     apply_velocity_dirichlet,
     build_boundary_data,
     dong_smoothing,
-    normal_traction_pressure,
     outflow_pressure_dirichlet,
     poisson_boundary_term,
     wall_pressure_neumann,
@@ -17,6 +16,8 @@ from lpsflow.mesh import build_structured_mesh, wall_tags
 from lpsflow.operators import GlobalOperators, VectorField
 
 from conftest import periodic_mesh, walled_mesh
+
+from oracles import normal_traction_pressure
 
 CFG = OutflowConfig(U0=1.0, beta=0.1)
 

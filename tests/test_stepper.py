@@ -384,6 +384,119 @@ class TestDiffuse:
         assert np.allclose(out.data, u.data, atol=1e-11)
 
 
+def _dense_diffusion_solve(mesh, u, bdata, nu, dt):
+    """Backward-Euler diffusion step by a dense solve of the masked system
+    (M + dt nu S_sym) x = M u with the wall rows held at their values."""
+    dense = DenseOracle(mesh)
+    dim, n = mesh.dim, mesh.n_dofs
+    # Block (m, k) of S_sym: delta_mk int grad w . grad u + int d_k w d_m u.
+    s_sym = np.block([[(dense.stiff if m == k else 0.0)
+                       + dense._assemble_pairwise(k, m) for k in range(dim)]
+                      for m in range(dim)])
+    a = np.kron(np.eye(dim), np.diag(dense.lumped)) + dt * nu * s_sym
+    pinned = np.zeros((dim, n), dtype=bool)
+    pinned[:, bdata.wall_dofs] = True
+    pinned = pinned.ravel()
+    x = np.where(pinned, bdata.wall_values.ravel(), 0.0)
+    b = (dense.lumped * u.data).ravel() - a @ x
+    free = ~pinned
+    x[free] = np.linalg.solve(a[np.ix_(free, free)], b[free])
+    return x.reshape(dim, n)
+
+
+class TestDiffusionPreconditioner:
+    """Fast-diagonalization inverse of the per-component diffusion blocks."""
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("spec", ["wall", "periodic"])
+    def test_inverts_1d_operator(self, p, spec, rng):
+        # In 1D the symmetric gradient is 2 K and there is one component,
+        # so at GLL the block-diagonal part is the whole operator.
+        mesh = build_structured_mesh(1, [(0.0, 1.5)], (5,), p, "gll",
+                                     _tags(1, spec))
+        ops = GlobalOperators(mesh)
+        free = np.ones(mesh.n_dofs, dtype=bool)
+        free[build_boundary_data(mesh).wall_dofs] = False
+        x = np.where(free, rng.standard_normal(mesh.n_dofs), 0.0)
+        for c in (0.01, 0.37):
+            ax = (ops.lumped_mass * x
+                  + c * ops.symmetric_gradient_stiffness(x[None], 1.0)[0])
+            z = ops.diffusion_block_solver(c)(ax)
+            assert np.linalg.norm((z - x)[free]) <= 1e-12 * np.linalg.norm(x)
+            assert np.all(z[~free] == 0.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("spec", ["wall", "periodic"])
+    def test_diffuse_1d_gll_one_iteration(self, p, spec, rng):
+        mesh = build_structured_mesh(1, [(0.0, 1.5)], (5,), p, "gll",
+                                     _tags(1, spec))
+        st = make_stepper(mesh, nu=0.3, dt=0.05)
+        u = VectorField(mesh, rng.standard_normal((1, mesh.n_dofs)))
+        out, iters = st.diffuse(u)
+        assert iters <= 1
+        want = _dense_diffusion_solve(mesh, u, st.boundary, 0.3, 0.05)
+        assert np.max(np.abs(out.data - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim,elems,p,spacing,spec", [
+        (2, (3, 2), 4, "gll", "wall"),
+        (2, (2, 3), 3, "equispaced", "wall"),
+        (2, (3, 3), 2, "gll", "periodic"),
+        (2, (3, 2), 4, "equispaced", "periodic"),
+        (2, (3, 2), 3, "gll", "wall x_max"),
+        (2, (2, 3), 4, "equispaced", "wall x_min y"),
+        (2, (3, 2), 2, "gll", "wall x"),
+        (3, (2, 2, 2), 3, "gll", "wall"),
+        (3, (2, 3, 2), 2, "gll", "periodic"),
+        (3, (2, 2, 2), 3, "equispaced", "wall y_min"),
+        (3, (2, 2, 2), 4, "gll", "wall x_max z"),
+    ])
+    def test_matches_dense_oracle(self, dim, elems, p, spacing, spec, rng):
+        mesh = build_structured_mesh(dim, _EXTENTS[:dim], elems, p, spacing,
+                                     _tags(dim, spec))
+        bdata = build_boundary_data(
+            mesh, wall_velocity=lambda pts: np.cos(pts[:, :dim] + pts[:, :1]))
+        nu, dt = 0.3, 0.05
+        st = Stepper(GlobalOperators(mesh), PhysicalParams(nu),
+                     TimeScheme(dt=dt, cg_tol=1e-12), boundary=bdata)
+        u = VectorField(mesh, rng.standard_normal((dim, mesh.n_dofs)))
+        out, iters = st.diffuse(u)
+        want = _dense_diffusion_solve(mesh, u, bdata, nu, dt)
+        assert iters > 0
+        assert np.max(np.abs(out.data - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_walled_channel_iterations(self):
+        # The 64x32 P2 Poiseuille channel at cg_tol 1e-10 took 36
+        # Jacobi-preconditioned iterations per step.
+        mesh = build_structured_mesh(2, [(0.0, 2.0), (0.0, 1.0)], (64, 32), 2,
+                                     "gll", wall_tags(2))
+
+        def poiseuille(pts):
+            y = pts[:, 1]
+            return np.stack([4.0 * y * (1.0 - y), np.zeros_like(y)], axis=1)
+
+        u = VectorField.from_function(mesh, poiseuille)
+        exact = u.data.copy()
+        st = Stepper(GlobalOperators(mesh), PhysicalParams(0.05),
+                     TimeScheme(dt=5e-3, rk="euler1", cg_tol=1e-10),
+                     boundary=build_boundary_data(mesh, wall_velocity=poiseuille))
+        t = 0.0
+        for _ in range(3):
+            u, rep = st.step(u, t)
+            t = rep.t
+            assert 0 < rep.diffusion_iters <= 12
+        assert np.max(np.abs(u.data - exact)) <= 1e-8
+
+    def test_periodic_box_shares_factorization(self, rng):
+        # Pressure and diffusion pin nothing on a periodic cube, so one 1D
+        # factorization serves every axis of both solves; walls add one.
+        for mesh, n_factors in ((periodic_mesh(3, 2, 2), 1),
+                                (walled_mesh(2, 3, 2), 2)):
+            st = make_stepper(mesh, nu=0.1, dt=0.01)
+            u = VectorField(mesh, rng.standard_normal((mesh.dim, mesh.n_dofs)))
+            st.step(u, 0.0)
+            assert len(st.ops._eigenpairs) == n_factors
+
+
 class TestStep:
     def test_zero_state_stays_zero(self):
         mesh = periodic_mesh(2, 4, 1)
