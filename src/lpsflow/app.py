@@ -23,15 +23,7 @@ from .diagnostics import compute_record, write_csv
 from .mesh import build_structured_mesh, periodic_tags
 from .operators import GlobalOperators, VectorField
 from .snapshot import write_snapshot
-from .stabilization import StabilizationConfig
-from .stepper import (
-    LinearSolveError,
-    PhysicalParams,
-    SolverAbort,
-    Stepper,
-    TimeScheme,
-    solve_poisson,
-)
+from .stepper import LinearSolveError, SolverAbort, Stepper, solve_poisson
 
 __all__ = ["RunResult", "run", "build_mesh", "initial_velocity"]
 
@@ -123,17 +115,17 @@ def _run_manufactured_poisson(cfg: RunConfig, out_dir: Path, log):
         return dim * exact(points)
 
     rhs = ops.assemble_load(forcing)
-    p, iters = solve_poisson(ops, rhs)
+    p = solve_poisson(ops, rhs)
     ref = GlobalOperators(mesh, mesh.basis.over_integrated())
     diff = p.values - exact(mesh.node_coords)
     diff -= diff.mean()
     err = math.sqrt(ref.integrate(ref.interp_to_quad(diff) ** 2))
     with open(out_dir / "errors.csv", "w") as fh:
-        fh.write("n,p,l2_error,cg_iters\n")
+        fh.write("n,p,l2_error\n")
         fh.write(f"{cfg.get('mesh', 'n')[0]},{cfg.get('mesh', 'p')},"
-                 f"{err:.17g},{iters}\n")
+                 f"{err:.17g}\n")
     manifest = _base_manifest(cfg)
-    manifest.update({"status": "ok", "l2_error": err, "cg_iters": iters})
+    manifest.update({"status": "ok", "l2_error": err})
     mpath = out_dir / "run.json"
     _write_manifest(mpath, manifest)
     log(f"manufactured Poisson: L2 error {err:.6e} (direct solve)")
@@ -163,20 +155,9 @@ def run(cfg: RunConfig, initial_condition=None, mesh=None, log=print):
             u = VectorField.from_function(mesh, initial_condition)
 
     ops = GlobalOperators(mesh)
-    physics = PhysicalParams(nu=cfg.get("physics", "nu"))
-    scheme = TimeScheme(
-        dt=cfg.get("scheme", "dt"),
-        t_end=cfg.get("scheme", "t_end"),
-        rk=cfg.get("scheme", "rk"),
-        cg_tol=cfg.get("scheme", "cg_tol"),
-        cg_max_iters=cfg.get("scheme", "cg_max_iters"),
-        cfl_limit=cfg.get("scheme", "cfl_limit"),
-        diffusion_theta=cfg.get("scheme", "diffusion_theta"),
-    )
-    stab = StabilizationConfig(
-        mode=cfg.get("stabilization", "stabilization"),
-        c_s=cfg.get("stabilization", "c_s"),
-    )
+    physics = cfg.physical_params()
+    scheme = cfg.time_scheme()
+    stab = cfg.stabilization_config()
     stepper = Stepper(
         ops, physics, scheme, stabilization=stab,
         convective_form=cfg.get("scheme", "convective_form"),
@@ -211,17 +192,16 @@ def run(cfg: RunConfig, initial_condition=None, mesh=None, log=print):
         while step_index < n_steps:
             # Land exactly on t_end when dt does not divide it.
             if t_end - t < dt * (1.0 - 1e-12):
-                u, report = stepper.step(u, t, t_end - t)
+                u, _ = stepper.step(u, t, t_end - t)
             else:
-                u, report = stepper.step(u, t)
+                u, _ = stepper.step(u, t)
             step_index += 1
             t = step_index * dt if step_index < n_steps else t_end
             is_last = step_index == n_steps
             if step_index % every == 0 or is_last:
                 records.append(compute_record(ops, u, physics.nu, stab, t))
                 log(f"t={t:9.4f}  E_k={records[-1].E_k:.8f}  "
-                    f"div={records[-1].div_norm:.3e}  "
-                    f"poisson_iters={report.poisson_iters}")
+                    f"div={records[-1].div_norm:.3e}")
             if snap_every > 0.0 and t + 1e-12 >= next_snap * snap_every:
                 maybe_snapshot(next_snap, t)
                 next_snap += 1

@@ -7,6 +7,7 @@ points coincide with the nodes and the evaluation matrix is the identity,
 which is what makes the mass matrix diagonal.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,10 +249,16 @@ def make_basis(p, spacing):
 
 
 def apply_along_axis(mat, values, axis):
-    """Contract ``mat`` (m_out x m_in) with ``values`` along one axis."""
-    moved = np.moveaxis(values, axis, -1)
-    out = moved @ mat.T
-    return np.moveaxis(out, -1, axis)
+    """Contract ``mat`` (m_out x m_in) with ``values`` along one axis, by
+    one matmul on a (pre, m_in, post) view; on the last axis, where a stack
+    of matrix-vector products would be slow, by values @ mat^T."""
+    shape = values.shape
+    pre, n, post = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
+    if post == 1:
+        out = values.reshape(pre, n) @ mat.T
+    else:
+        out = mat @ values.reshape(pre, n, post)
+    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
 
 
 def eval_tensor_gradient(basis, dim, elem_nodal_values):

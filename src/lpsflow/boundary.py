@@ -108,7 +108,9 @@ def _double_curl(ops: GlobalOperators, u: VectorField) -> VectorField:
     """curl(curl u) with both curls taken by lumped projection."""
     omega = ops.curl(u)
     if ops.mesh.dim == 2:
-        return ops.curl_of_plane_scalar(omega.component(0))
+        # The plane curl of a scalar is its rotated gradient (g_y, -g_x).
+        g = ops.project_gradient(omega.component(0)).data
+        return VectorField(ops.mesh, np.stack([g[1], -g[0]]))
     return ops.curl(omega)
 
 

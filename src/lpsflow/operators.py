@@ -353,17 +353,6 @@ class GlobalOperators:
             out[i] = self._scatter(t) * self._inv_lumped
         return VectorField(self.mesh, out)
 
-    def curl_of_plane_scalar(self, omega: ScalarField) -> VectorField:
-        """2D vector curl of a scalar: (d omega/dy, -d omega/dx), projected."""
-        _check_same_mesh(self.mesh, omega)
-        if self.mesh.dim != 2:
-            raise FieldError("plane-scalar curl is a 2D operation")
-        local = self._gather(omega.values)
-        gy = self._scatter(local @ self._grad_local[1].T)
-        gx = self._scatter(local @ self._grad_local[0].T)
-        data = np.stack([gy * self._inv_lumped, -gx * self._inv_lumped])
-        return VectorField(self.mesh, data)
-
     def symmetric_gradient_stiffness(self, data, nu):
         """Assembled viscous residual quad(grad w : nu (grad u + grad u^T)).
 
@@ -425,45 +414,56 @@ class GlobalOperators:
         lam, v = np.linalg.eigh(r @ k1 @ r)
         return r @ v, lam
 
-    def _box_factors(self, pinned):
-        """Per array axis (z, y, x) the free-index slice, eigenvectors S and
-        eigenvalues lam, with the DoFs of every face tagged ``pinned``
-        removed.
+    def free_slices(self, pinned):
+        """Per array axis (z, y, x) the slice of the DoF grid left free when
+        the DoFs of every face tagged ``pinned`` are held fixed.
 
         Pinning a whole face drops its axis's first or last index, so the
-        free DoFs stay a Cartesian product. Factors live in one cache keyed
-        by axis geometry and free slice, so equal axes (a cube) and the
-        pressure and diffusion solves of a periodic box share them.
+        free DoFs form the Cartesian sub-grid ``grid[free_slices(tag)]``.
         """
         mesh = self.mesh
-        keeps, s_axes, lams = [], [], []
+        keeps = []
         for k in reversed(range(mesh.dim)):
             cut = {f.side for f in mesh.boundary_faces.values()
                    if f.axis == k and f.tag is pinned}
-            keep = slice(int(0 in cut), mesh.dofs_per_axis[k] - int(1 in cut))
+            keeps.append(slice(int(0 in cut),
+                               mesh.dofs_per_axis[k] - int(1 in cut)))
+        return tuple(keeps)
+
+    def _box_factors(self, pinned):
+        """Per array axis (z, y, x) the eigenvectors S and eigenvalues lam
+        on the sub-grid :meth:`free_slices` leaves free of ``pinned`` faces.
+
+        Factors live in one cache keyed by axis geometry and free slice, so
+        equal axes (a cube) and the pressure and diffusion solves of a
+        periodic box share them.
+        """
+        mesh = self.mesh
+        s_axes, lams = [], []
+        for a, keep in enumerate(self.free_slices(pinned)):
+            k = mesh.dim - 1 - a
             key = (mesh.elems_per_axis[k], mesh.h_axes[k], mesh.periodic[k],
                    keep.start, keep.stop)
             if key not in self._eigenpairs:
                 self._eigenpairs[key] = self._axis_eigenpairs(k, keep)
             s, lam = self._eigenpairs[key]
-            keeps.append(keep)
             s_axes.append(s)
             lams.append(lam)
-        return tuple(keeps), s_axes, lams
+        return s_axes, lams
 
     @cached_property
     def _laplacian_factors(self):
-        """Free slices and S per array axis for the pressure, whose outflow
-        faces are pinned, and 1 / sum of lam over the free DoFs.
+        """S per array axis for the pressure, whose outflow faces are
+        pinned, and 1 / sum of lam over the free DoFs.
 
         Without any outflow face K is singular and the reciprocal of the
         constant mode (index 0 on every axis) is zero.
         """
-        keeps, s_axes, lams = self._box_factors(BoundaryTag.OUTFLOW)
+        s_axes, lams = self._box_factors(BoundaryTag.OUTFLOW)
         lam_sum = sum(np.ix_(*lams))
         if lam_sum.size == self.mesh.n_dofs:
             lam_sum[(0,) * self.mesh.dim] = np.inf
-        return keeps, s_axes, 1.0 / lam_sum
+        return s_axes, 1.0 / lam_sum
 
     def diffusion_block_solver(self, c):
         """Inverse of the per-component diagonal blocks of M + c S_sym.
@@ -473,25 +473,19 @@ class GlobalOperators:
         axis-k Kronecker term of the weak Laplacian, and the mass is taken
         as M1 (x) M1 (x) M1 (the lumped mass at GLL). In the M1-orthonormal
         eigenvectors S of every axis each block is the diagonal
-        1 + c (lam_x + lam_y + lam_z + lam_m). The returned callable maps a
-        flat (dim * n_dofs) vector r to z = S (1 + c lam)^-1 S^T r, all
-        components contracted together; wall DoFs are pinned, so z is zero
-        there.
+        1 + c (lam_x + lam_y + lam_z + lam_m). The returned callable maps r
+        on the sub-grid off the walls, shape (dim, *free shape), to
+        z = S (1 + c lam)^-1 S^T r, all components contracted together.
         """
-        keep, s_axes, lams = self._box_factors(BoundaryTag.DIRICHLET_WALL)
+        s_axes, lams = self._box_factors(BoundaryTag.DIRICHLET_WALL)
         dim = self.mesh.dim
         lam_axes = np.ix_(*lams)  # array axis a holds spatial axis dim-1-a
         lam_sum = sum(lam_axes)
         inv = np.stack([1.0 / (1.0 + c * (lam_sum + lam_axes[dim - 1 - m]))
                         for m in range(dim)])
-        grid = (dim, *self.mesh.dofs_per_axis[::-1])
-        free = (slice(None), *keep)
 
         def solve(r):
-            out = np.zeros(grid)
-            out[free] = _diagonalized_solve(r.reshape(grid)[free], s_axes,
-                                            inv, first_axis=1)
-            return out.ravel()
+            return _diagonalized_solve(r, s_axes, inv, first_axis=1)
 
         return solve
 
@@ -507,17 +501,18 @@ class GlobalOperators:
         mean is removed from b first and from p last, the convention of
         mean-deflated CG.
         """
-        keep, s_axes, inv_lam = self._laplacian_factors
+        s_axes, inv_lam = self._laplacian_factors
         grid = self.mesh.dofs_per_axis[::-1]
+        free = self.free_slices(BoundaryTag.OUTFLOW)
         singular = inv_lam.size == self.mesh.n_dofs
         if singular:
             values = values - values.mean()
-        x = _diagonalized_solve(values.reshape(grid)[keep], s_axes, inv_lam)
+        x = _diagonalized_solve(values.reshape(grid)[free], s_axes, inv_lam)
         if singular:
             x = x.ravel()
             return x - x.mean()
         out = np.zeros(grid)
-        out[keep] = x
+        out[free] = x
         return out.ravel()
 
 

@@ -6,7 +6,8 @@ written as zeros so downstream tooling sees a fixed schema.
 
 import numpy as np
 
-__all__ = ["write_snapshot", "write_vtk", "write_csv_points", "read_csv_points"]
+__all__ = ["write_snapshot", "snapshot_writer", "write_vtk", "write_csv_points",
+           "read_csv_points"]
 
 
 def _point_arrays(mesh, velocity, pressure):
@@ -66,11 +67,14 @@ def read_csv_points(path):
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
+def snapshot_writer(fmt):
+    """The writer function for a snapshot format name ('vtk' or 'csv')."""
+    try:
+        return {"vtk": write_vtk, "csv": write_csv_points}[str(fmt).lower()]
+    except KeyError:
+        raise ValueError(f"unknown snapshot format {fmt!r}") from None
+
+
 def write_snapshot(path, mesh, velocity=None, pressure=None, fmt="vtk"):
     """Write one snapshot in the requested format ('vtk' or 'csv')."""
-    fmt = fmt.lower()
-    if fmt == "vtk":
-        return write_vtk(path, mesh, velocity, pressure)
-    if fmt == "csv":
-        return write_csv_points(path, mesh, velocity, pressure)
-    raise ValueError(f"unknown snapshot format {fmt!r}")
+    return snapshot_writer(fmt)(path, mesh, velocity, pressure)

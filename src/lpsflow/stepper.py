@@ -7,13 +7,14 @@ explicit part can be wrapped in multistage strong-stability-preserving
 Runge-Kutta schemes; the Poisson problem is solved at every stage.
 
 All linear systems are SPD. The pressure system is solved directly on every
-mesh, by fast diagonalization of its Kronecker structure (0 iterations are
-reported); outflow faces pin the pressure, and without them the constant
-null space is dropped. The implicit diffusion solve uses conjugate
-gradients, so ``TimeScheme.cg_tol`` governs only the diffusion. Its
-operator couples the velocity components through the transposed gradient;
-the preconditioner is the fast-diagonalization inverse of the
-per-component diagonal blocks, with the wall DoFs pinned
+mesh, by fast diagonalization of its Kronecker structure; outflow faces pin
+the pressure, and without them the constant null space is dropped. The
+implicit diffusion solve uses conjugate gradients, so ``TimeScheme.cg_tol``
+governs only the diffusion. Its operator couples the velocity components
+through the transposed gradient. CG runs on the DoFs off the walls, a
+Cartesian sub-grid of the DoF grid, with the wall velocity lifted into the
+right-hand side; the preconditioner is the fast-diagonalization inverse of
+the per-component diagonal blocks on that sub-grid
 (:meth:`GlobalOperators.diffusion_block_solver`).
 """
 
@@ -111,7 +112,7 @@ class PhysicalParams:
 class StepReport:
     t: float
     dt: float
-    poisson_iters: tuple
+    poisson_iters: tuple  # one 0 per stage: the pressure solve is direct
     diffusion_iters: int
     div_norm: float
     wall_seconds: float
@@ -125,9 +126,10 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
                        precond=_identity):
     """Preconditioned CG for SPD operators given as a callable.
 
-    ``precond`` maps a residual r to z = P r for an SPD P that approximates
-    the inverse of the operator (default: no preconditioning). Convergence
-    is on the residual norm relative to ||b||. Returns
+    ``b`` may have any shape, kept by ``apply_op`` and ``precond``. The
+    latter maps a residual r to z = P r for an SPD P that approximates the
+    inverse of the operator (default: no preconditioning). Convergence is
+    on the residual norm relative to ||b||. Returns
     (x, iterations, relative_residual).
     """
     b = np.asarray(b, dtype=float)
@@ -140,7 +142,7 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
     r = b - apply_op(x)
     z = precond(r)
     d = z.copy()
-    rz = float(r @ z)
+    rz = float(np.vdot(r, z))
     rnorm = float(np.linalg.norm(r))
     iters = 0
     while rnorm > tol * bnorm:
@@ -151,7 +153,7 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
                 iters, rnorm / bnorm,
             )
         ad = apply_op(d)
-        dad = float(d @ ad)
+        dad = float(np.vdot(d, ad))
         if dad <= 0.0:
             raise LinearSolveError(
                 f"CG breakdown: d.Ad = {dad:.3e} <= 0 after {iters} "
@@ -162,7 +164,7 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
         x += alpha * d
         r -= alpha * ad
         z = precond(r)
-        rz_new = float(r @ z)
+        rz_new = float(np.vdot(r, z))
         d = z + (rz_new / rz) * d
         rz = rz_new
         rnorm = float(np.linalg.norm(r))
@@ -175,56 +177,14 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
     return x, iters, rnorm / bnorm
 
 
-def solve_spd_system(apply_op, b, *, constrained=None, values=None,
-                     tol=1e-8, max_iters=10000, precond=_identity, x0=None):
-    """Solve A x = b by preconditioned CG with optional Dirichlet constraints.
+def solve_poisson(ops: GlobalOperators, rhs: ScalarField, *, values=None):
+    """Solve the SPD weak Laplacian system K p = rhs; returns p.
 
-    Constrained rows are replaced by the identity (their right-hand side is
-    moved across), which keeps the reduced operator SPD; they pass through
-    the preconditioner unchanged.
-    """
-    if constrained is not None and constrained.size:
-        xc = np.zeros_like(b)
-        xc[constrained] = values[constrained]
-        rhs = b - apply_op(xc)
-        rhs[constrained] = 0.0
-
-        def apply_masked(v):
-            w = v.copy()
-            w[constrained] = 0.0
-            out = apply_op(w)
-            out[constrained] = v[constrained]
-            return out
-
-        def precond_masked(r):
-            z = precond(r)
-            z[constrained] = r[constrained]
-            return z
-
-        guess = None
-        if x0 is not None:
-            guess = x0 - xc
-            guess[constrained] = 0.0
-        z, iters, res = conjugate_gradient(
-            apply_masked, rhs, x0=guess, tol=tol, max_iters=max_iters,
-            precond=precond_masked,
-        )
-        return z + xc, iters, res
-    return conjugate_gradient(
-        apply_op, b, x0=x0, tol=tol, max_iters=max_iters, precond=precond,
-    )
-
-
-def solve_poisson(ops: GlobalOperators, rhs: ScalarField, *, values=None,
-                  tol=None):
-    """Solve the SPD weak Laplacian system K p = rhs; returns (p, 0).
-
-    The solve is direct (:meth:`GlobalOperators.solve_laplacian`), so it
-    reports 0 iterations and ``tol`` has no effect. ``values`` gives the
-    pressure on the outflow faces, whose DoFs are pinned (zero if omitted);
-    it is lifted into the right-hand side. Without an outflow face the
-    system is pure Neumann and the returned pressure has zero Euclidean
-    mean.
+    The solve is direct (:meth:`GlobalOperators.solve_laplacian`).
+    ``values`` gives the pressure on the outflow faces, whose DoFs are
+    pinned (zero if omitted); it is lifted into the right-hand side.
+    Without an outflow face the system is pure Neumann and the returned
+    pressure has zero Euclidean mean.
     """
     mesh = ops.mesh
     b = rhs.values
@@ -232,13 +192,12 @@ def solve_poisson(ops: GlobalOperators, rhs: ScalarField, *, values=None,
         raise LinearSolveError("non-finite right-hand side in the direct "
                                "Poisson solve", 0, float("nan"))
     if values is None:
-        return ScalarField(mesh, ops.solve_laplacian(b)), 0
-    lift = np.zeros(mesh.n_dofs)
-    for f in mesh.boundary_faces.values():
-        if f.tag is BoundaryTag.OUTFLOW:
-            lift[f.dof_ids] = values[f.dof_ids]
+        return ScalarField(mesh, ops.solve_laplacian(b))
+    lift = np.array(values, dtype=float).reshape(mesh.dofs_per_axis[::-1])
+    lift[ops.free_slices(BoundaryTag.OUTFLOW)] = 0.0
+    lift = lift.ravel()
     b = b - ops.weak_laplacian(ScalarField(mesh, lift)).values
-    return ScalarField(mesh, ops.solve_laplacian(b) + lift), 0
+    return ScalarField(mesh, ops.solve_laplacian(b) + lift)
 
 
 class Stepper:
@@ -280,7 +239,7 @@ class Stepper:
             raise SolverAbort("non-finite values in predicted velocity")
         return u_star
 
-    def solve_pressure(self, u_star: VectorField, dt=None):
+    def solve_pressure(self, u_star: VectorField, dt=None) -> ScalarField:
         """Weak Poisson solve for the stage pressure from div(u*)/dt."""
         dt = self.scheme.dt if dt is None else dt
         ops, bdata = self.ops, self.boundary
@@ -301,40 +260,51 @@ class Stepper:
 
     def diffuse(self, u: VectorField, dt=None):
         """Implicit theta-step of the symmetric-gradient viscous term, by CG
-        preconditioned with the inverse of its per-component blocks."""
+        preconditioned with the inverse of its per-component blocks. The
+        wall velocity is lifted into the right-hand side and CG runs on the
+        sub-grid of DoFs off the walls."""
         dt = self.scheme.dt if dt is None else dt
         nu = self.physics.nu
         if nu == 0.0:
             return u, 0
-        ops, bdata = self.ops, self.boundary
+        ops, mesh = self.ops, self.ops.mesh
         theta = self.scheme.diffusion_theta
-        dim, ndofs = ops.mesh.dim, ops.mesh.n_dofs
+        flat = (mesh.dim, mesh.n_dofs)
+        grid = (mesh.dim, *mesh.dofs_per_axis[::-1])
+        free = (slice(None), *ops.free_slices(BoundaryTag.DIRICHLET_WALL))
         mass = ops.lumped_mass
 
-        def apply_a(x):
-            v = x.reshape(dim, ndofs)
+        def apply_a(v):
+            v = v.reshape(flat)
             out = mass * v + (theta * dt) * ops.symmetric_gradient_stiffness(v, nu)
-            return out.ravel()
+            return out.reshape(grid)
 
         rhs = mass * u.data
         if theta < 1.0:
             rhs = rhs - (1.0 - theta) * dt * ops.symmetric_gradient_stiffness(
                 u.data, nu
             )
-        constrained = None
-        values = None
-        if bdata.has_walls:
-            mask = np.zeros((dim, ndofs), dtype=bool)
-            mask[:, bdata.wall_dofs] = True
-            constrained = np.flatnonzero(mask.ravel())
-            values = bdata.wall_values.ravel()
-        x, iters, _ = solve_spd_system(
-            apply_a, rhs.ravel(), constrained=constrained, values=values,
+        rhs = rhs.reshape(grid)
+        walls = self.boundary.wall_values.reshape(grid)
+        lift = np.array(walls, dtype=float)
+        lift[free] = 0.0  # the wall velocity on the walls, 0 off them
+        if lift.any():  # else A(lift) is exactly 0: periodic or no-slip
+            rhs = rhs - apply_a(lift)
+        padded = lift  # its memory, zeroed, pads the CG iterates
+        padded.fill(0.0)
+
+        def apply_free(x):
+            padded[free] = x
+            return apply_a(padded)[free]
+
+        x, iters, _ = conjugate_gradient(
+            apply_free, rhs[free], x0=u.data.reshape(grid)[free],
             tol=self.scheme.cg_tol, max_iters=self.scheme.cg_max_iters,
             precond=ops.diffusion_block_solver(theta * dt * nu),
-            x0=u.data.ravel(),
         )
-        return VectorField(ops.mesh, x.reshape(dim, ndofs)), iters
+        out = np.array(walls, dtype=float)
+        out[free] = x
+        return VectorField(mesh, out.reshape(flat)), iters
 
     # -- full step ---------------------------------------------------------
 
@@ -362,7 +332,6 @@ class Stepper:
         dt = self.scheme.dt if dt is None else dt
         self.check_cfl(u, t, dt)
         stages = RK_STAGES[self.scheme.rk]
-        poisson_iters = []
         u0 = u
         prev = u
         for a, b, c in stages:
@@ -371,8 +340,7 @@ class Stepper:
             if a != 0.0:
                 data = data + a * u0.data
             v = VectorField(self.ops.mesh, data)
-            p, iters = self.solve_pressure(v, dt)
-            poisson_iters.append(iters)
+            p = self.solve_pressure(v, dt)
             v = self.correct(v, p, dt)
             apply_velocity_dirichlet(v, self.boundary)
             if not np.all(np.isfinite(v.data)):
@@ -381,13 +349,12 @@ class Stepper:
             prev = v
             self.pressure = p
         u_next, diff_iters = self.diffuse(prev, dt)
-        apply_velocity_dirichlet(u_next, self.boundary)
         if not np.all(np.isfinite(u_next.data)):
             raise SolverAbort("non-finite values after diffusion", t_last=t)
         report = StepReport(
             t=t + dt,
             dt=dt,
-            poisson_iters=tuple(poisson_iters),
+            poisson_iters=(0,) * len(stages),
             diffusion_iters=diff_iters,
             div_norm=divergence_norm(self.ops, u_next),
             wall_seconds=time.perf_counter() - t0,

@@ -164,6 +164,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.resolve({seckey: "bogus"})
 
+    @pytest.mark.parametrize("seckey,value", [
+        (("scheme", "cg_tol"), "2"),
+        (("scheme", "diffusion_theta"), "3"),
+        (("scheme", "rk"), "rk4"),
+        (("stabilization", "c_s"), "1.5"),
+        (("mesh", "spacing"), "chebyshev"),
+        (("output", "snapshot_format"), "hdf5"),
+    ])
+    def test_owner_rules_raise_config_error(self, seckey, value):
+        with pytest.raises(ConfigError):
+            RunConfig.resolve({("case", "name"): "tgv2d"}, {seckey: value})
+
     def test_overrides_win_over_file(self):
         cfg = RunConfig.resolve(
             {("case", "name"): "shear_layer", ("scheme", "dt"): "0.01"},
@@ -313,10 +325,11 @@ class TestRun:
         # dt = 0.005 does not divide t_end = 0.012: the last step is 0.002,
         # passed to Stepper.step, and the shared scheme.dt is never assigned.
         import lpsflow.app as app_module
+        import lpsflow.config as config_module
 
         assigned, dts = [], []
 
-        class WatchedScheme(app_module.TimeScheme):
+        class WatchedScheme(config_module.TimeScheme):
             def __setattr__(self, name, value):
                 if name == "dt" and "dt" in self.__dict__:
                     assigned.append(value)
@@ -328,7 +341,7 @@ class TestRun:
                 dts.append(rep.dt)
                 return u, rep
 
-        monkeypatch.setattr(app_module, "TimeScheme", WatchedScheme)
+        monkeypatch.setattr(config_module, "TimeScheme", WatchedScheme)
         monkeypatch.setattr(app_module, "Stepper", RecordingStepper)
         result = run(self.base_config(tmp_path, {("scheme", "t_end"): 0.012}),
                      log=None)
@@ -401,7 +414,8 @@ class TestRun:
         manifest = json.loads((result.out_dir / "run.json").read_text())
         assert manifest["l2_error"] < 1e-2
         text = (result.out_dir / "errors.csv").read_text().splitlines()
-        assert text[0] == "n,p,l2_error,cg_iters"
+        assert text[0] == "n,p,l2_error"
+        assert "cg_iters" not in manifest
 
 
 class TestCli:
@@ -424,6 +438,18 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[case]\nname = nonexistent_case\n")
         assert main(["check-config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override", ["scheme.cg_tol=2",
+                                          "scheme.diffusion_theta=3"])
+    def test_run_rejects_what_check_config_rejects(self, tmp_path, capsys,
+                                                    override):
+        path = tmp_path / "c.ini"
+        path.write_text("[case]\nname = tgv2d\n"
+                        f"[output]\ndir = {tmp_path / 'o'}\n")
+        for command in ("check-config", "run"):
+            assert main([command, str(path), "--set", override]) == EXIT_CONFIG
+            assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/path.ini"]) == EXIT_CONFIG

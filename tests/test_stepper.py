@@ -3,7 +3,7 @@ import pytest
 
 from lpsflow.boundary import build_boundary_data
 from lpsflow.diagnostics import divergence_norm, kinetic_energy
-from lpsflow.mesh import build_structured_mesh, periodic_tags, wall_tags
+from lpsflow.mesh import BoundaryTag, build_structured_mesh, periodic_tags, wall_tags
 from lpsflow.operators import (
     GlobalOperators,
     ScalarField,
@@ -47,6 +47,18 @@ class TestConjugateGradient:
         assert np.allclose(x, x_true, atol=1e-8)
         assert res <= 1e-12
 
+    def test_any_shape_matches_flat(self, rng):
+        n = 30
+        m = rng.standard_normal((n, n))
+        a = m @ m.T + n * np.eye(n)
+        b = rng.standard_normal(n)
+        flat = conjugate_gradient(lambda v: a @ v, b, tol=1e-12)
+        shaped = conjugate_gradient(lambda v: (a @ v.ravel()).reshape(v.shape),
+                                    b.reshape(2, 3, 5), tol=1e-12)
+        assert shaped[0].shape == (2, 3, 5)
+        assert np.array_equal(shaped[0].ravel(), flat[0])
+        assert shaped[1:] == flat[1:]
+
     def test_zero_rhs_short_circuits(self):
         x, iters, res = conjugate_gradient(lambda v: v, np.zeros(5))
         assert iters == 0 and np.all(x == 0.0)
@@ -80,7 +92,7 @@ class TestSolvePoisson:
             mesh = periodic_mesh(1, n, 2)
             ops = GlobalOperators(mesh)
             rhs = ops.assemble_load(lambda pts: np.sin(pts[:, 0]))
-            p, iters = solve_poisson(ops, rhs, tol=1e-13)
+            p = solve_poisson(ops, rhs)
             x = mesh.node_coords[:, 0]
             want = np.sin(x)
             got = p.values - p.values.mean() + want.mean()
@@ -93,7 +105,7 @@ class TestSolvePoisson:
         st = make_stepper(mesh, dt=0.1)
         u = VectorField(mesh, np.stack([np.full(mesh.n_dofs, 1.0),
                                         np.full(mesh.n_dofs, 2.0)]))
-        p, iters = st.solve_pressure(u, 0.1)
+        p = st.solve_pressure(u, 0.1)
         assert np.max(np.abs(p.values)) < 1e-10
 
     def test_solution_is_mean_free(self, rng):
@@ -101,7 +113,7 @@ class TestSolvePoisson:
         ops = GlobalOperators(mesh)
         st = make_stepper(mesh, dt=0.05)
         u = VectorField(mesh, rng.standard_normal((2, mesh.n_dofs)))
-        p, _ = st.solve_pressure(u, 0.05)
+        p = st.solve_pressure(u, 0.05)
         assert abs(p.values.mean()) < 1e-12 * np.max(np.abs(p.values))
 
 
@@ -133,9 +145,7 @@ def _check_against_oracle(dim, elems, p, spacing, over, spec, rng):
     b = rng.standard_normal(mesh.n_dofs)
     pinned = build_boundary_data(mesh).outflow_dofs
     data = rng.standard_normal(mesh.n_dofs) if pinned.size else None
-    x, iters = solve_poisson(ops, ScalarField(mesh, b), values=data)
-    assert iters == 0
-    x = x.values
+    x = solve_poisson(ops, ScalarField(mesh, b), values=data).values
     if pinned.size == 0:
         # No outflow: the constant null space is dropped, K x = b - mean(b).
         want = b - b.mean()
@@ -308,7 +318,7 @@ class TestCorrect:
         u = VectorField(mesh, np.stack([np.sin(x) * np.sin(y) + 0.5 * np.sin(2 * x),
                                         np.cos(2 * y) * np.cos(x)]))
         before = divergence_norm(ops, u)
-        p, _ = st.solve_pressure(u, 5e-3)
+        p = st.solve_pressure(u, 5e-3)
         after = divergence_norm(ops, st.correct(u, p, 5e-3))
         assert after < 0.05 * before
 
@@ -324,7 +334,7 @@ class TestNaturalStabilizationIdentity:
         for _ in range(5):
             u = VectorField(mesh, rng.standard_normal((2, mesh.n_dofs)))
             dt = 0.02
-            p, _ = st.solve_pressure(u, dt)
+            p = st.solve_pressure(u, dt)
             u2 = st.correct(u, p, dt)
             lhs = ops.weak_divergence(u2).values
             # Weak form of div grad p is -K p on a periodic mesh.
@@ -415,15 +425,15 @@ class TestDiffusionPreconditioner:
         mesh = build_structured_mesh(1, [(0.0, 1.5)], (5,), p, "gll",
                                      _tags(1, spec))
         ops = GlobalOperators(mesh)
-        free = np.ones(mesh.n_dofs, dtype=bool)
-        free[build_boundary_data(mesh).wall_dofs] = False
-        x = np.where(free, rng.standard_normal(mesh.n_dofs), 0.0)
+        free = ops.free_slices(BoundaryTag.DIRICHLET_WALL)
+        x = np.zeros(mesh.n_dofs)
+        x[free] = rng.standard_normal(x[free].shape)
         for c in (0.01, 0.37):
             ax = (ops.lumped_mass * x
                   + c * ops.symmetric_gradient_stiffness(x[None], 1.0)[0])
-            z = ops.diffusion_block_solver(c)(ax)
-            assert np.linalg.norm((z - x)[free]) <= 1e-12 * np.linalg.norm(x)
-            assert np.all(z[~free] == 0.0)
+            z = ops.diffusion_block_solver(c)(ax[None, free[0]])
+            assert z.shape == (1, x[free].size)
+            assert np.linalg.norm(z[0] - x[free]) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("spec", ["wall", "periodic"])
@@ -463,6 +473,24 @@ class TestDiffusionPreconditioner:
         want = _dense_diffusion_solve(mesh, u, bdata, nu, dt)
         assert iters > 0
         assert np.max(np.abs(out.data - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_walls_hold_their_values_exactly(self, rng):
+        # Only the wall entries of wall_values count; diffuse writes them
+        # itself, since Stepper.step no longer reapplies them after it.
+        mesh = build_structured_mesh(2, _EXTENTS[:2], (3, 2), 3, "gll",
+                                     _tags(2, "wall x_max"))
+        bdata = build_boundary_data(mesh)
+        walls = bdata.wall_dofs
+        bdata.wall_values[:, walls] = rng.standard_normal((2, walls.size))
+        u = VectorField(mesh, rng.standard_normal((2, mesh.n_dofs)))
+        outs = []
+        for off_walls in (0.0, 7.0):
+            bdata.wall_values[:, ~bdata.wall_mask] = off_walls
+            st = Stepper(GlobalOperators(mesh), PhysicalParams(0.3),
+                         TimeScheme(dt=0.05, cg_tol=1e-12), boundary=bdata)
+            outs.append(st.diffuse(u)[0].data)
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0][:, walls], bdata.wall_values[:, walls])
 
     def test_walled_channel_iterations(self):
         # The 64x32 P2 Poiseuille channel at cg_tol 1e-10 took 36
@@ -648,7 +676,7 @@ class TestChannelFlow:
             t = rep.t
         assert np.all(np.isfinite(u.data))
         # The solved pressure satisfies the outflow Dirichlet data exactly.
-        p, _ = st.solve_pressure(u)
+        p = st.solve_pressure(u)
         want = outflow_pressure_dirichlet(ops, bd, u, 0.05)
         ids = bd.outflow_dofs
         assert np.allclose(p.values[ids], want[ids], atol=1e-12)
