@@ -261,6 +261,14 @@ def apply_along_axis(mat, values, axis):
     return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
 
 
+def apply_kron(mats, values, first_axis=0):
+    """Apply the Kronecker product of ``mats`` to ``values``: mats[i] is
+    contracted along array axis first_axis + i."""
+    for a, mat in enumerate(mats, start=first_axis):
+        values = apply_along_axis(mat, values, a)
+    return values
+
+
 def eval_tensor_gradient(basis, dim, elem_nodal_values):
     """Reference-element gradient of a nodal field at the quadrature points.
 
@@ -281,10 +289,7 @@ def eval_tensor_gradient(basis, dim, elem_nodal_values):
     grad = np.empty((dim,) + (basis.n_quad,) * dim)
     for k in range(dim):
         # Tensor axis for spatial direction k: x is the last axis.
-        ax = dim - 1 - k
-        out = values
-        for a in range(dim):
-            mat = basis.quad_diff_matrix if a == ax else basis.eval_matrix
-            out = apply_along_axis(mat, out, a)
-        grad[k] = out
+        grad[k] = apply_kron([basis.quad_diff_matrix if a == dim - 1 - k
+                              else basis.eval_matrix for a in range(dim)],
+                             values)
     return grad

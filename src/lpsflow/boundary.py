@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import apply_along_axis
+from .basis import apply_kron
 from .mesh import BoundaryTag
 from .operators import GlobalOperators, ScalarField, VectorField
 
@@ -127,14 +127,8 @@ def wall_pressure_neumann(ops: GlobalOperators, bdata: BoundaryData,
     if not bdata.has_walls or nu == 0.0:
         return {f.name: np.zeros(f.dof_ids.size) for f in bdata.wall_faces}
     cc = _double_curl(ops, u)
-    out = {}
-    for f in bdata.wall_faces:
-        vals = np.zeros(f.dof_ids.size)
-        for k in range(ops.mesh.dim):
-            if f.normal[k] != 0.0:
-                vals += f.normal[k] * cc.data[k, f.dof_ids]
-        out[f.name] = -nu * vals
-    return out
+    return {f.name: -nu * (f.normal[f.axis] * cc.data[f.axis, f.dof_ids])
+            for f in bdata.wall_faces}
 
 
 def poisson_boundary_term(ops: GlobalOperators, bdata: BoundaryData,
@@ -152,9 +146,8 @@ def poisson_boundary_term(ops: GlobalOperators, bdata: BoundaryData,
         if flux is None:
             continue
         tangents = [k for k in reversed(range(mesh.dim)) if k != f.axis]
-        x = np.reshape(flux, [mesh.dofs_per_axis[k] for k in tangents])
-        for a, k in enumerate(tangents):
-            x = apply_along_axis(ops.axis_matrices[k][1], x, a)
+        x = apply_kron([ops.axis_matrices[k][1] for k in tangents],
+                       np.reshape(flux, [mesh.dofs_per_axis[k] for k in tangents]))
         out[f.dof_ids] += x.ravel()
     return ScalarField(mesh, out)
 
@@ -167,33 +160,17 @@ def outflow_pressure_dirichlet(ops: GlobalOperators, bdata: BoundaryData,
     gradient by lumped projection. Returns a full-length array, meaningful
     on ``bdata.outflow_dofs``.
     """
-    mesh = ops.mesh
-    vals = np.zeros(mesh.n_dofs)
-    if not bdata.has_outflow:
-        return vals
-    cfg = bdata.outflow_cfg
-    grads = None
-    if nu != 0.0:
-        grads = [ops.project_gradient(u.component(k)) for k in range(mesh.dim)]
+    vals = np.zeros(ops.mesh.n_dofs)
     speed2 = np.sum(u.data**2, axis=0)
     for f in bdata.outflow_faces:
-        ids = f.dof_ids
-        n = f.normal
-        u_n = np.zeros(ids.size)
-        for k in range(mesh.dim):
-            if n[k] != 0.0:
-                u_n += n[k] * u.data[k, ids]
-        s0 = dong_smoothing(u_n, cfg)
+        # The face is normal to axis a, so n = +-e_a: u_n = n_a u_a and
+        # n.((grad u + grad u^T) n) = 2 du_a/dx_a.
+        ids, a = f.dof_ids, f.axis
+        s0 = dong_smoothing(f.normal[a] * u.data[a, ids], bdata.outflow_cfg)
         p = -0.5 * speed2[ids] * s0
-        if grads is not None:
-            visc = np.zeros(ids.size)
-            for k in range(mesh.dim):
-                for m_ in range(mesh.dim):
-                    if n[k] == 0.0 or n[m_] == 0.0:
-                        continue
-                    sym = grads[k].data[m_, ids] + grads[m_].data[k, ids]
-                    visc += n[k] * n[m_] * sym
-            p += nu * visc
+        if nu != 0.0:
+            dudx = ops.project_gradient(u.component(a)).data[a, ids]
+            p += nu * (2.0 * dudx)
         vals[ids] = p
     return vals
 

@@ -14,6 +14,7 @@ import os
 from dataclasses import fields
 
 from .basis import make_basis
+from .mesh import MeshError, check_mesh_request, periodic_tags
 from .operators import ConvectiveForm
 from .snapshot import snapshot_writer
 from .stabilization import StabilizationConfig
@@ -190,6 +191,12 @@ class RunConfig:
         if len(n) == 1:
             n = n * dim
         v[("mesh", "n")] = n
+        # Before the automatic dt below divides by the element size and p.
+        try:
+            check_mesh_request(dim, self.domain_extents(), n,
+                               v[("mesh", "p")], periodic_tags(dim))
+        except MeshError as exc:
+            raise ConfigError(str(exc)) from exc
 
         # Viscosity from the Reynolds number when not given directly.
         nu, re = v[("physics", "nu")], v[("physics", "Re")]
@@ -220,12 +227,6 @@ class RunConfig:
         """Check every value through the object that owns its rule."""
         v = self.values
         dim = v[("mesh", "dim")]
-        if dim not in (1, 2, 3):
-            raise ConfigError(f"mesh dim must be 1, 2 or 3, got {dim}")
-        if len(v[("mesh", "n")]) != dim:
-            raise ConfigError(
-                f"mesh n needs {dim} entries, got {v[('mesh', 'n')]}"
-            )
         case = self.case
         if case in ("shear_layer", "tgv2d") and dim != 2:
             raise ConfigError(f"case {case} requires dim=2")

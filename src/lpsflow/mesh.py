@@ -19,6 +19,7 @@ __all__ = [
     "BoundaryFace",
     "Mesh",
     "build_structured_mesh",
+    "check_mesh_request",
     "element_size",
     "periodic_tags",
     "wall_tags",
@@ -56,6 +57,8 @@ class MeshError(ValueError):
 
 def face_names(dim):
     """The 2*dim face-set names of a dim-dimensional box, e.g. 'x_min'."""
+    if dim not in (1, 2, 3):
+        raise MeshError(f"dim must be 1, 2 or 3, got {dim}")
     names = []
     for k in range(dim):
         names.append(f"{_AXIS_NAMES[k]}_min")
@@ -210,14 +213,22 @@ class Mesh:
 
 def build_structured_mesh(dim, extents, elems_per_axis, order, spacing,
                           boundary_tags):
-    """Build a structured box mesh; see :class:`Mesh` for conventions.
+    """Build a structured box mesh; see :class:`Mesh` for conventions and
+    :func:`check_mesh_request` for the rules the arguments must meet."""
+    tags = check_mesh_request(dim, extents, elems_per_axis, order,
+                              boundary_tags)
+    return Mesh(dim, extents, elems_per_axis, order, spacing, tags)
+
+
+def check_mesh_request(dim, extents, elems_per_axis, order, boundary_tags):
+    """Raise MeshError unless the arguments describe a buildable box;
+    return the tags as :class:`BoundaryTag` members.
 
     ``boundary_tags`` maps every face-set name ('x_min', 'x_max', ...) to a
     :class:`BoundaryTag` (or its string value). Periodic tags must be paired
-    on both sides of an axis.
+    on both sides of an axis. The node spacing is checked by the basis.
     """
-    if dim not in (1, 2, 3):
-        raise MeshError(f"dim must be 1, 2 or 3, got {dim}")
+    expected = set(face_names(dim))  # checks dim
     if int(order) < 1:
         raise MeshError(f"polynomial order must be >= 1, got {order}")
     extents = list(extents)
@@ -230,15 +241,11 @@ def build_structured_mesh(dim, extents, elems_per_axis, order, spacing,
         if int(n) < 1:
             raise MeshError(f"axis {k}: need at least one element, got {n}")
 
-    tags = {}
-    for name, value in dict(boundary_tags).items():
-        if name in tags:
-            raise MeshError(f"face {name!r} tagged more than once")
-        try:
-            tags[name] = BoundaryTag.coerce(value)
-        except ValueError as exc:
-            raise MeshError(str(exc)) from None
-    expected = set(face_names(dim))
+    try:
+        tags = {name: BoundaryTag.coerce(value)
+                for name, value in dict(boundary_tags).items()}
+    except ValueError as exc:
+        raise MeshError(str(exc)) from None
     missing = expected - set(tags)
     extra = set(tags) - expected
     if missing:
@@ -257,8 +264,7 @@ def build_structured_mesh(dim, extents, elems_per_axis, order, spacing,
             raise MeshError(
                 f"axis {_AXIS_NAMES[k]}: a periodic axis needs n*p >= 2"
             )
-
-    return Mesh(dim, extents, elems_per_axis, order, spacing, tags)
+    return tags
 
 
 def element_size(mesh, elem_id):

@@ -1,24 +1,28 @@
 """Global discrete operators, applied matrix-free.
 
-Every operator is an element loop in disguise: gather element-local nodal
-values with fancy indexing, hit them with a precomputed element-local
-matrix (shared by all elements, since meshes are uniform boxes), and
-scatter-add back with ``np.bincount``. No global matrix is ever stored;
-only the lumped mass and the O(nloc^2) local blocks. The exceptions are
-dense 1D matrices: each axis's stiffness and mass (``axis_matrices``, also
-the face mass of the wall surface integral) and their eigenvectors, one per
-distinct axis and free index range, shared by the direct Laplacian solve
-and the diffusion preconditioner.
+On a uniform box every constant-coefficient operator is a Kronecker sum of
+1D matrices. Each axis has a stiffness K1, a quadrature mass M1 and a
+derivative form G1 (``axis_matrices``). The weak gradient, divergence,
+Laplacian and curl and the lumped mass contract them along the axes of the
+(z, y, x) DoF grid. The direct Laplacian solve, the diffusion
+preconditioner and the wall surface integral use the same K1 and M1, so
+the Laplacian applied is the one inverted. No global matrix is stored.
+
+What varies per element or per quadrature point (convection,
+stabilization, the viscous operator, integrals at the quadrature points)
+is an element loop in disguise: gather element-local nodal values with
+fancy indexing, hit them with a precomputed element-local matrix (shared by
+all elements), and scatter-add back with ``np.bincount``.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
 """
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .basis import Basis1D, apply_along_axis
+from .basis import Basis1D, apply_kron
 from .mesh import BoundaryTag, NameEnum
 
 __all__ = [
@@ -108,12 +112,9 @@ def _tensorize_rows(mats):
 def _diagonalized_solve(x, s_axes, inv, first_axis=0):
     """S (inv * S^T x), each axis's S contracted along consecutive array
     axes of x starting at ``first_axis``."""
-    for a, s in enumerate(s_axes, start=first_axis):
-        x = apply_along_axis(s.T, x, a)
+    x = apply_kron([s.T for s in s_axes], x, first_axis)
     x *= inv
-    for a, s in enumerate(s_axes, start=first_axis):
-        x = apply_along_axis(s, x, a)
-    return x
+    return apply_kron(s_axes, x, first_axis)
 
 
 class GlobalOperators:
@@ -133,7 +134,7 @@ class GlobalOperators:
         b = self.basis
         self._gidx = mesh.elem_to_dofs
         self._flat_gidx = self._gidx.ravel()
-        self._nloc = b.n_nodes**dim
+        self._grid = mesh.dofs_per_axis[::-1]
         self._nqd = b.n_quad**dim
         self._jac = mesh.elem_volume / 2.0**dim
         self._scale = tuple(2.0 / h for h in mesh.h_axes)
@@ -151,15 +152,13 @@ class GlobalOperators:
             self._dphi.append(_tensorize_rows(mats) * self._scale[k])
         self._phi_is_identity = bool(b.collocated)
 
+        # Stiffness and cross blocks of symmetric_gradient_stiffness.
         wq = self._wq
-        self._grad_local = [self._phi.T @ (wq[:, None] * d) for d in self._dphi]
         self._stiff_local = sum(d.T @ (wq[:, None] * d) for d in self._dphi)
-        # Cross blocks for the symmetric-gradient operator.
         self._cross_local = [
             [self._dphi[k].T @ (wq[:, None] * self._dphi[m]) for m in range(dim)]
             for k in range(dim)
         ]
-        self._mass_row = self._phi.T @ wq  # local lumped mass (row sums)
 
         self.lumped_mass = self._assemble_lumped_mass()
         self._inv_lumped = 1.0 / self.lumped_mass
@@ -189,14 +188,26 @@ class GlobalOperators:
         """d/dx_k of the interpolant at the quadrature points, (E, nqd)."""
         return local @ self._dphi[k].T
 
+    def _kron_term(self, values, k, mat):
+        """Flat nodal values times ``mat`` (K1 or G1 of axis k) on axis k
+        and M1 on every other axis of the (z, y, x) DoF grid."""
+        mats = [mat if j == k else self.axis_matrices[j][1]
+                for j in reversed(range(self.mesh.dim))]
+        return apply_kron(mats, values.reshape(self._grid)).ravel()
+
+    def _weak_partial(self, values, k):
+        """quad(l_i d(values)/dx_k) for every DoF i."""
+        return self._kron_term(values, k, self.axis_matrices[k][2])
+
     # -- assembly --------------------------------------------------------------
 
     def _assemble_lumped_mass(self):
-        # Row sum of the consistent mass = integral of each basis function;
-        # with collocated quadrature this is exactly the diagonal of m.
-        local = np.broadcast_to(self._mass_row,
-                                (self.mesh.n_elems, self._nloc))
-        diag = self._scatter(local)
+        # Row sums of the consistent mass M1 (x) M1 (x) M1 are the outer
+        # product of the M1 row sums; with collocated quadrature this is
+        # exactly its diagonal.
+        diag = reduce(np.multiply.outer,
+                      [self.axis_matrices[k][1].sum(axis=1)
+                       for k in reversed(range(self.mesh.dim))]).ravel()
         if np.any(diag <= 0.0):
             raise FieldError(
                 "lumped mass has non-positive entries; the nodal basis does "
@@ -247,20 +258,14 @@ class GlobalOperators:
     def weak_divergence(self, u: VectorField) -> ScalarField:
         """Assembled residual of the divergence: entry i is quad(l_i div u)."""
         _check_same_mesh(self.mesh, u)
-        acc = None
-        for k in range(self.mesh.dim):
-            t = self._gather(u.data[k]) @ self._grad_local[k].T
-            acc = t if acc is None else acc + t
-        return ScalarField(self.mesh, self._scatter(acc))
+        return ScalarField(self.mesh, sum(self._weak_partial(u.data[k], k)
+                                          for k in range(self.mesh.dim)))
 
     def weak_gradient(self, p: ScalarField) -> VectorField:
         """Assembled residual of the gradient, one component per axis."""
         _check_same_mesh(self.mesh, p)
-        local = self._gather(p.values)
-        out = np.empty((self.mesh.dim, self.mesh.n_dofs))
-        for k in range(self.mesh.dim):
-            out[k] = self._scatter(local @ self._grad_local[k].T)
-        return VectorField(self.mesh, out)
+        return VectorField(self.mesh, np.stack(
+            [self._weak_partial(p.values, k) for k in range(self.mesh.dim)]))
 
     def project_gradient(self, phi: ScalarField) -> VectorField:
         """Continuous (nodal) gradient: lumped-mass inverse of weak_gradient."""
@@ -268,17 +273,14 @@ class GlobalOperators:
         g.data *= self._inv_lumped
         return g
 
-    def weak_laplacian(self, phi: ScalarField, elem_scale=None) -> ScalarField:
-        """Stiffness action quad(grad w . grad phi), SPD sign convention.
-
-        ``elem_scale`` optionally multiplies each element's contribution
-        (used for per-element viscosities).
-        """
+    def weak_laplacian(self, phi: ScalarField) -> ScalarField:
+        """Stiffness action quad(grad w . grad phi), SPD sign convention:
+        the sum over axes of K1 on axis k and M1 on the others, the matrix
+        that :meth:`solve_laplacian` inverts."""
         _check_same_mesh(self.mesh, phi)
-        local = self._gather(phi.values) @ self._stiff_local
-        if elem_scale is not None:
-            local = local * np.asarray(elem_scale)[:, None]
-        return ScalarField(self.mesh, self._scatter(local))
+        return ScalarField(self.mesh, sum(
+            self._kron_term(phi.values, k, self.axis_matrices[k][0])
+            for k in range(self.mesh.dim)))
 
     def weak_div_flux(self, flux_at_quad, elem_scale=None) -> ScalarField:
         """Assemble quad(grad w . F) from a flux F given at quadrature points."""
@@ -340,18 +342,13 @@ class GlobalOperators:
         dim = self.mesh.dim
         if dim == 1:
             raise FieldError("curl requires dim >= 2")
-        if dim == 2:
-            t = (self._gather(u.data[1]) @ self._grad_local[0].T
-                 - self._gather(u.data[0]) @ self._grad_local[1].T)
-            return VectorField(self.mesh,
-                               (self._scatter(t) * self._inv_lumped)[None, :])
-        locs = [self._gather(u.data[k]) for k in range(3)]
-        pairs = ((2, 1, 1, 2), (0, 2, 2, 0), (1, 0, 0, 1))  # (c+, ax+, c-, ax-)
-        out = np.empty((3, self.mesh.n_dofs))
-        for i, (cp, ap, cm, am) in enumerate(pairs):
-            t = locs[cp] @ self._grad_local[ap].T - locs[cm] @ self._grad_local[am].T
-            out[i] = self._scatter(t) * self._inv_lumped
-        return VectorField(self.mesh, out)
+        # (c+, ax+, c-, ax-): component i is d u_c+/dx_ax+ - d u_c-/dx_ax-.
+        pairs = (((1, 0, 0, 1),) if dim == 2 else
+                 ((2, 1, 1, 2), (0, 2, 2, 0), (1, 0, 0, 1)))
+        return VectorField(self.mesh, np.stack([
+            (self._weak_partial(u.data[cp], ap)
+             - self._weak_partial(u.data[cm], am)) * self._inv_lumped
+            for cp, ap, cm, am in pairs]))
 
     def symmetric_gradient_stiffness(self, data, nu):
         """Assembled viscous residual quad(grad w : nu (grad u + grad u^T)).
@@ -360,6 +357,10 @@ class GlobalOperators:
         coupling through the transposed gradient is kept, so this is the SPD
         operator behind the implicit diffusion solve.
         """
+        # Element blocks, not 1D Kronecker terms: on the long axis of a
+        # channel (129 DoFs) the dense 1D form costs ~3x more per apply, and
+        # grad_at_quad + weak_div_flux is ~2x slower on every mesh tried;
+        # the diffusion CG applies this operator several times per step.
         dim = self.mesh.dim
         locs = [self._gather(data[k]) for k in range(dim)]
         out = np.empty_like(data)
@@ -377,12 +378,14 @@ class GlobalOperators:
 
     @cached_property
     def axis_matrices(self):
-        """Per spatial axis k, the 1D stiffness K1 and quadrature mass M1.
+        """Per spatial axis k, the 1D stiffness K1, quadrature mass M1 and
+        derivative form G1 = quad(l_i l_j') (no h factor: (h/2)(2/h) = 1).
 
-        Both are assembled over axis k's elements with this operator set's
-        rule, with periodic or non-periodic ends. The weak Laplacian is the
-        sum over axes of K1 (x) M1 (x) M1, and the mass of a box face is the
-        product of its tangent axes' M1.
+        All three are assembled over axis k's elements with this operator
+        set's rule, with periodic or non-periodic ends. The weak Laplacian
+        is the sum over axes of K1 (x) M1 (x) M1, the weak x-derivative is
+        M1 (x) M1 (x) G1, and the mass of a box face is the product of its
+        tangent axes' M1.
         """
         mesh, b = self.mesh, self.basis
         w, B, Dq = b.quad_weights, b.eval_matrix, b.quad_diff_matrix
@@ -391,11 +394,11 @@ class GlobalOperators:
             h, n = mesh.h_axes[k], mesh.dofs_per_axis[k]
             ids = mesh._axis_dof_maps[k]
             rows, cols = ids[:, :, None], ids[:, None, :]
-            k1 = np.zeros((n, n))
-            m1 = np.zeros((n, n))
+            k1, m1, g1 = (np.zeros((n, n)) for _ in range(3))
             np.add.at(k1, (rows, cols), (2.0 / h) * (Dq.T @ (w[:, None] * Dq)))
             np.add.at(m1, (rows, cols), (0.5 * h) * (B.T @ (w[:, None] * B)))
-            out.append((k1, m1))
+            np.add.at(g1, (rows, cols), B.T @ (w[:, None] * Dq))
+            out.append((k1, m1, g1))
         return out
 
     def _axis_eigenpairs(self, k, keep):
@@ -407,7 +410,7 @@ class GlobalOperators:
         and full M1 alike. eigh sorts lam ascending, so on a pure-Neumann
         axis lam[0] = 0 is the constant mode.
         """
-        k1, m1 = self.axis_matrices[k]
+        k1, m1, _ = self.axis_matrices[k]
         k1, m1 = k1[keep, keep], m1[keep, keep]
         mu, q = np.linalg.eigh(m1)
         r = (q / np.sqrt(mu)) @ q.T
@@ -502,16 +505,16 @@ class GlobalOperators:
         mean-deflated CG.
         """
         s_axes, inv_lam = self._laplacian_factors
-        grid = self.mesh.dofs_per_axis[::-1]
         free = self.free_slices(BoundaryTag.OUTFLOW)
         singular = inv_lam.size == self.mesh.n_dofs
         if singular:
             values = values - values.mean()
-        x = _diagonalized_solve(values.reshape(grid)[free], s_axes, inv_lam)
+        x = _diagonalized_solve(values.reshape(self._grid)[free], s_axes,
+                                inv_lam)
         if singular:
             x = x.ravel()
             return x - x.mean()
-        out = np.zeros(grid)
+        out = np.zeros(self._grid)
         out[free] = x
         return out.ravel()
 

@@ -62,7 +62,8 @@ def upwind_viscosity(ops: GlobalOperators, u: VectorField) -> np.ndarray:
 def low_order_term(ops: GlobalOperators, phi: ScalarField,
                    nu_elem: np.ndarray) -> ScalarField:
     """Element-scaled stiffness residual: quad(nu_e grad w . grad phi)."""
-    return ops.weak_laplacian(phi, elem_scale=np.asarray(nu_elem, dtype=float))
+    return ops.weak_div_flux(ops.grad_at_quad(phi.values),
+                             elem_scale=np.asarray(nu_elem, dtype=float))
 
 
 def lps_term(ops: GlobalOperators, phi: ScalarField, nu_elem: np.ndarray,

@@ -114,6 +114,17 @@ class DenseOracle:
     def project_gradient(self, p):
         return self.weak_gradient(p) / self.lumped
 
+    def curl(self, udata):
+        """Lumped projection of curl u: one component in 2D, three in 3D."""
+        g = self.grad
+        if self.mesh.dim == 2:
+            return ((g[0] @ udata[1] - g[1] @ udata[0]) / self.lumped)[None]
+        return np.stack([
+            (g[(i + 1) % 3] @ udata[(i + 2) % 3]
+             - g[(i + 2) % 3] @ udata[(i + 1) % 3]) / self.lumped
+            for i in range(3)
+        ])
+
     def laplacian(self, p):
         return self.stiff @ p
 

@@ -171,10 +171,22 @@ class TestConfig:
         (("stabilization", "c_s"), "1.5"),
         (("mesh", "spacing"), "chebyshev"),
         (("output", "snapshot_format"), "hdf5"),
+        (("mesh", "n"), "0"),
+        (("mesh", "n"), "8,0"),
     ])
     def test_owner_rules_raise_config_error(self, seckey, value):
         with pytest.raises(ConfigError):
             RunConfig.resolve({("case", "name"): "tgv2d"}, {seckey: value})
+
+    @pytest.mark.parametrize("seckey,value", [
+        (("mesh", "n"), "0"),
+        (("mesh", "p"), "0"),
+        (("mesh", "dim"), "4"),
+    ])
+    def test_mesh_checked_before_auto_dt(self, seckey, value):
+        # tgv3d derives dt from the element size and p.
+        with pytest.raises(ConfigError):
+            RunConfig.resolve({("case", "name"): "tgv3d"}, {seckey: value})
 
     def test_overrides_win_over_file(self):
         cfg = RunConfig.resolve(
@@ -440,7 +452,8 @@ class TestCli:
         assert main(["check-config", str(path)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("override", ["scheme.cg_tol=2",
-                                          "scheme.diffusion_theta=3"])
+                                          "scheme.diffusion_theta=3",
+                                          "mesh.n=0", "mesh.n=8,0"])
     def test_run_rejects_what_check_config_rejects(self, tmp_path, capsys,
                                                     override):
         path = tmp_path / "c.ini"

@@ -84,14 +84,26 @@ class TestWeakDivergenceGradient:
         assert np.max(np.abs(g.data[1, interior])) < 1e-13
 
     @pytest.mark.parametrize(
-        "mesh",
-        [periodic_mesh(2, 3, 1), walled_mesh(2, 2, 2),
-         periodic_mesh(3, 2, 2), walled_mesh(1, 4, 3, length=2.0)],
-        ids=["2d-p1", "2d-p2-walls", "3d-p2", "1d-p3"],
+        "mesh,over",
+        [(periodic_mesh(2, 3, 1), False), (walled_mesh(2, 2, 2), False),
+         (periodic_mesh(3, 2, 2), False),
+         (walled_mesh(1, 4, 3, length=2.0), False),
+         (walled_mesh(2, 2, 3, spacing="equispaced"), False),
+         (build_structured_mesh(
+             3, [(0.0, 1.0)] * 3, (2, 1, 2), 4, "equispaced",
+             {"x_min": "periodic", "x_max": "periodic", "y_min": "wall",
+              "y_max": "wall", "z_min": "periodic", "z_max": "periodic"}),
+          False),
+         (periodic_mesh(2, (2, 1), 8), False),
+         (walled_mesh(2, 2, 2), True)],
+        ids=["2d-p1", "2d-p2-walls", "3d-p2", "1d-p3",
+             "2d-equi-p3-walls", "3d-equi-p4-ywalls", "2d-p8-one-elem-axis",
+             "2d-p2-over-integrated"],
     )
-    def test_against_dense_oracle(self, mesh, rng):
-        ops = GlobalOperators(mesh)
-        dense = DenseOracle(mesh)
+    def test_against_dense_oracle(self, mesh, over, rng):
+        basis = mesh.basis.over_integrated() if over else None
+        ops = GlobalOperators(mesh, basis)
+        dense = DenseOracle(mesh, basis)
         vdata = rng.standard_normal((mesh.dim, mesh.n_dofs))
         pvals = rng.standard_normal(mesh.n_dofs)
         u = VectorField(mesh, vdata.copy())
@@ -107,6 +119,10 @@ class TestWeakDivergenceGradient:
             ops.weak_laplacian(p).values, dense.laplacian(pvals), atol=1e-11
         )
         assert np.allclose(ops.lumped_mass, dense.lumped, atol=1e-12)
+        if mesh.dim >= 2:
+            want = dense.curl(vdata)
+            err = np.max(np.abs(ops.curl(u).data - want))
+            assert err <= 1e-12 * np.max(np.abs(want))
 
 
 class TestProjectGradient:
