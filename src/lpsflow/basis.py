@@ -251,8 +251,11 @@ def make_basis(p, spacing):
 def apply_along_axis(mat, values, axis):
     """Contract ``mat`` (m_out x m_in) with ``values`` along one axis, by
     one matmul on a (pre, m_in, post) view; on the last axis, where a stack
-    of matrix-vector products would be slow, by values @ mat^T."""
+    of matrix-vector products would be slow, by values @ mat^T. A 1-D
+    ``mat`` is a diagonal matrix given by its diagonal: it scales."""
     shape = values.shape
+    if mat.ndim == 1:
+        return values * mat.reshape(mat.shape + (1,) * (len(shape) - axis - 1))
     pre, n, post = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
     if post == 1:
         out = values.reshape(pre, n) @ mat.T

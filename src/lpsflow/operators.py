@@ -11,8 +11,12 @@ the Laplacian applied is the one inverted. No global matrix is stored.
 What varies per element or per quadrature point (convection,
 stabilization, the viscous operator, integrals at the quadrature points)
 is an element loop in disguise: gather element-local nodal values with
-fancy indexing, hit them with a precomputed element-local matrix (shared by
-all elements), and scatter-add back with ``np.bincount``.
+fancy indexing, differentiate them, weight them at the quadrature points
+and scatter-add back with ``np.bincount``. The derivative d/dx_k and its
+transpose follow from the basis alone. With collocated GLL quadrature and
+p >= 4 they contract the 1D matrix D (2/h_k) along one axis of the
+(E, m, ..., m) element array (sum factorization); otherwise they multiply
+a dense (p+1)^d x (p+1)^d element block, which is faster at low order.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
@@ -22,7 +26,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .basis import Basis1D, apply_kron
+from .basis import Basis1D, apply_along_axis, apply_kron
 from .mesh import BoundaryTag, NameEnum
 
 __all__ = [
@@ -101,14 +105,6 @@ def _check_same_mesh(mesh, field):
         raise FieldError("field does not live on this operator set's mesh")
 
 
-def _tensorize_rows(mats):
-    """Kronecker product of 1D matrices in (z, y, x) slot order."""
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def _diagonalized_solve(x, s_axes, inv, first_axis=0):
     """S (inv * S^T x), each axis's S contracted along consecutive array
     axes of x starting at ``first_axis``."""
@@ -136,29 +132,16 @@ class GlobalOperators:
         self._flat_gidx = self._gidx.ravel()
         self._grid = mesh.dofs_per_axis[::-1]
         self._nqd = b.n_quad**dim
-        self._jac = mesh.elem_volume / 2.0**dim
         self._scale = tuple(2.0 / h for h in mesh.h_axes)
-
-        # Flat quadrature weights (incl. |J|) and local evaluation /
-        # derivative matrices: PHI (nqd, nloc), DPHI[k] with metric folded in.
-        w1 = b.quad_weights
-        self._wq = _tensorize_rows([w1[:, None]] * dim).ravel() * self._jac
-        B, Dq = b.eval_matrix, b.quad_diff_matrix
-        self._phi = _tensorize_rows([B] * dim) if dim > 1 else B
-        self._dphi = []
-        for k in range(dim):
-            slot = dim - 1 - k  # spatial axis k lives on tensor slot dim-1-k
-            mats = [Dq if a == slot else B for a in range(dim)]
-            self._dphi.append(_tensorize_rows(mats) * self._scale[k])
-        self._phi_is_identity = bool(b.collocated)
-
-        # Stiffness and cross blocks of symmetric_gradient_stiffness.
-        wq = self._wq
-        self._stiff_local = sum(d.T @ (wq[:, None] * d) for d in self._dphi)
-        self._cross_local = [
-            [self._dphi[k].T @ (wq[:, None] * self._dphi[m]) for m in range(dim)]
-            for k in range(dim)
-        ]
+        # Flat quadrature weights (incl. |J|).
+        self._wq = reduce(np.kron, [b.quad_weights] * dim) * (
+            mesh.elem_volume / 2.0**dim)
+        # Below p = 4 dense element blocks win where it costs most: on a
+        # 10^3 GLL P3 mesh the single-axis viscous operator takes 4.0 ms
+        # against 3.0 ms per apply, and CG applies it several times a step.
+        self._single_axis = b.collocated and b.order >= 4
+        self._elem_shape = ((mesh.n_elems,) + (b.n_quad,) * dim
+                            if self._single_axis else (mesh.n_elems, -1))
 
         self.lumped_mass = self._assemble_lumped_mass()
         self._inv_lumped = 1.0 / self.lumped_mass
@@ -175,23 +158,53 @@ class GlobalOperators:
         )
 
     def _to_quad(self, local):
-        if self._phi_is_identity:
-            return local
-        return local @ self._phi.T
+        return local if self.basis.collocated else local @ self._phi.T
 
     def _from_quad_t(self, qvals):
-        if self._phi_is_identity:
-            return qvals
-        return qvals @ self._phi
+        return qvals if self.basis.collocated else qvals @ self._phi
 
-    def _grad_component(self, local, k):
-        """d/dx_k of the interpolant at the quadrature points, (E, nqd)."""
-        return local @ self._dphi[k].T
+    def _deriv(self, vals, k, transpose=False):
+        """d/dx_k of element-local nodal values at the quadrature points;
+        ``transpose``: entry i of an element is sum_q vals[q] dl_i/dx_k (q)."""
+        mat, mat_t, axis = self._kernels[k]
+        return apply_along_axis(mat_t if transpose else mat,
+                                vals.reshape(self._elem_shape),
+                                axis).reshape(len(vals), -1)
+
+    @cached_property
+    def _kernels(self):
+        """Per axis k, d/dx_k, its transpose and the element-array axis they
+        contract: D (2/h_k) on one axis of (E, m, ..., m), or off the
+        single-axis path the dense block DPHI[k] (nqd, nloc) on (E, nloc)."""
+        dim, b = self.mesh.dim, self.basis
+        if self._single_axis:
+            # x is one GEMM, fastest with the matrix's transpose C-contiguous;
+            # the other axes want the matrix itself C-contiguous.
+            lay = [np.asfortranarray] + [np.ascontiguousarray] * (dim - 1)
+            return [(lay[k](d), lay[k](d.T), dim - k) for k, d in
+                    enumerate(b.quad_diff_matrix * s for s in self._scale)]
+        dphi = [reduce(np.kron, [b.quad_diff_matrix if a == dim - 1 - k
+                                 else b.eval_matrix for a in range(dim)])
+                * self._scale[k] for k in range(dim)]
+        return [(d, d.T, 1) for d in dphi]
+
+    @cached_property
+    def _phi(self):
+        """Evaluation block (nqd, nloc); used only when not collocated."""
+        return reduce(np.kron, [self.basis.eval_matrix] * self.mesh.dim)
+
+    @cached_property
+    def _viscous_blocks(self):
+        """Dense stiffness sum_k C^kk and blocks C^km = dphi_k^T W dphi_m."""
+        d = [mat for mat, _, _ in self._kernels]
+        wq, dim = self._wq[:, None], self.mesh.dim
+        cross = [[d[k].T @ (wq * d[m]) for m in range(dim)] for k in range(dim)]
+        return sum(d_k.T @ (wq * d_k) for d_k in d), cross
 
     def _kron_term(self, values, k, mat):
         """Flat nodal values times ``mat`` (K1 or G1 of axis k) on axis k
         and M1 on every other axis of the (z, y, x) DoF grid."""
-        mats = [mat if j == k else self.axis_matrices[j][1]
+        mats = [mat if j == k else self._axis_masses[j]
                 for j in reversed(range(self.mesh.dim))]
         return apply_kron(mats, values.reshape(self._grid)).ravel()
 
@@ -235,7 +248,7 @@ class GlobalOperators:
     def grad_at_quad(self, values):
         """Physical gradient of a nodal field at the quadrature points."""
         local = self._gather(values)
-        return [self._grad_component(local, k) for k in range(self.mesh.dim)]
+        return [self._deriv(local, k) for k in range(self.mesh.dim)]
 
     def integrate(self, qvals):
         """Quadrature sum over the whole domain of values given at quad points."""
@@ -284,10 +297,9 @@ class GlobalOperators:
 
     def weak_div_flux(self, flux_at_quad, elem_scale=None) -> ScalarField:
         """Assemble quad(grad w . F) from a flux F given at quadrature points."""
-        acc = None
-        for k in range(self.mesh.dim):
-            t = (flux_at_quad[k].reshape(-1, self._nqd) * self._wq) @ self._dphi[k]
-            acc = t if acc is None else acc + t
+        acc = reduce(np.add, (
+            self._deriv(flux_at_quad[k].reshape(-1, self._nqd) * self._wq, k,
+                        transpose=True) for k in range(self.mesh.dim)))
         if elem_scale is not None:
             acc = acc * np.asarray(elem_scale)[:, None]
         return ScalarField(self.mesh, self._scatter(acc))
@@ -310,14 +322,14 @@ class GlobalOperators:
         out = np.empty((dim, self.mesh.n_dofs))
         if form is ConvectiveForm.CONSERVATIVE:
             for m in range(dim):
-                div_flux = (locs[0] * locs[m]) @ self._dphi[0].T
+                div_flux = self._deriv(locs[0] * locs[m], 0)
                 for k in range(1, dim):
-                    div_flux += (locs[k] * locs[m]) @ self._dphi[k].T
+                    div_flux += self._deriv(locs[k] * locs[m], k)
                 out[m] = self._scatter(self._from_quad_t(div_flux * self._wq))
             return VectorField(self.mesh, out)
 
         uq = [self._to_quad(loc) for loc in locs]
-        grads = [[self._grad_component(locs[m], k) for k in range(dim)]
+        grads = [[self._deriv(locs[m], k) for k in range(dim)]
                  for m in range(dim)]  # grads[m][k] = d u_m / d x_k
         if form is ConvectiveForm.SKEW_SYMMETRIC:
             div_q = grads[0][0]
@@ -357,20 +369,29 @@ class GlobalOperators:
         coupling through the transposed gradient is kept, so this is the SPD
         operator behind the implicit diffusion solve.
         """
-        # Element blocks, not 1D Kronecker terms: on the long axis of a
+        # Element kernels, not 1D Kronecker terms: on the long axis of a
         # channel (129 DoFs) the dense 1D form costs ~3x more per apply, and
-        # grad_at_quad + weak_div_flux is ~2x slower on every mesh tried;
         # the diffusion CG applies this operator several times per step.
         dim = self.mesh.dim
         locs = [self._gather(data[k]) for k in range(dim)]
         out = np.empty_like(data)
         for m in range(dim):
-            acc = locs[m] @ self._stiff_local
-            # Transposed-gradient coupling: sum_k C^{km} u_k with
-            # C^{km} = dphi_k^T W dphi_m; batched right-multiply needs its
-            # transpose C^{mk} = cross_local[m][k].
-            for k in range(dim):
-                acc += locs[k] @ self._cross_local[m][k]
+            if self._single_axis:
+                # sum_k D_k^T W (d_k u_m + d_m u_k) term by term: holding all
+                # dim^2 gradients costs more in page faults than recomputing.
+                acc = 0.0
+                for k in range(dim):
+                    s = self._deriv(locs[m], k)
+                    s += s if k == m else self._deriv(locs[k], m)
+                    s *= self._wq
+                    acc += self._deriv(s, k, transpose=True)
+            else:
+                stiff, cross = self._viscous_blocks
+                acc = locs[m] @ stiff
+                # Transposed-gradient coupling: sum_k C^{km} u_k; batched
+                # right-multiply needs its transpose C^{mk} = cross[m][k].
+                for k in range(dim):
+                    acc += locs[k] @ cross[m][k]
             out[m] = nu * self._scatter(acc)
         return out
 
@@ -400,6 +421,12 @@ class GlobalOperators:
             np.add.at(g1, (rows, cols), B.T @ (w[:, None] * Dq))
             out.append((k1, m1, g1))
         return out
+
+    @cached_property
+    def _axis_masses(self):
+        """Per axis M1, as its diagonal (a scaling) if the rule is collocated."""
+        return [np.diagonal(m1) if self.basis.collocated else m1
+                for _, m1, _ in self.axis_matrices]
 
     def _axis_eigenpairs(self, k, keep):
         """Generalized eigenpairs K1 S = M1 S diag(lam) on axis k's free DoFs.

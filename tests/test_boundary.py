@@ -110,6 +110,30 @@ class TestOutflowPressure:
             1.0, np.max(np.abs(want[ids]))
         )
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_outflow_at_both_x_faces_matches_projected_gradient(self, dim, rng):
+        # The viscous part reads du_x/dx once for both faces; it must equal,
+        # bit for bit, the x component of the lumped projection of grad u_x.
+        tags = wall_tags(dim)
+        tags["x_min"] = tags["x_max"] = "outflow"
+        mesh = build_structured_mesh(
+            dim, [(0.0, 2.0)] + [(0.0, 1.0)] * (dim - 1),
+            (3,) + (2,) * (dim - 1), 3, "gll", tags)
+        ops = GlobalOperators(mesh)
+        bd = build_boundary_data(mesh, CFG)
+        u = VectorField(mesh, rng.standard_normal((dim, mesh.n_dofs)))
+        nu = 0.37
+        got = outflow_pressure_dirichlet(ops, bd, u, nu)
+        dudx = ops.project_gradient(u.component(0)).data[0]
+        speed2 = np.sum(u.data**2, axis=0)
+        want = np.zeros(mesh.n_dofs)
+        for f in bd.outflow_faces:
+            ids = f.dof_ids
+            s0 = dong_smoothing(f.normal[0] * u.data[0, ids], CFG)
+            want[ids] = -0.5 * speed2[ids] * s0 + nu * (2.0 * dudx[ids])
+        assert len(bd.outflow_faces) == 2
+        assert np.array_equal(got, want)
+
 
 class TestWallPressureNeumann:
     def test_zero_velocity(self):
