@@ -20,8 +20,12 @@ a dense (p+1)^d x (p+1)^d element block, which is faster at low order.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
+
+Building an operator set raises glibc's mmap and trim thresholds so that a
+warm step reuses freed heap memory instead of page-faulting it back in.
 """
 
+import ctypes
 from functools import cached_property, reduce
 
 import numpy as np
@@ -113,6 +117,30 @@ def _diagonalized_solve(x, s_axes, inv, first_axis=0):
     return apply_kron(s_axes, x, first_axis)
 
 
+_held_bytes = 0  # mmap threshold set so far; mallopt is process-wide
+
+
+def _hold_freed_arrays(nbytes):
+    """Raise glibc's mmap threshold to 2 nbytes (1 to 32 MiB) and its trim
+    threshold to 32 times that, never lowering them, so that a step's freed
+    arrays stay in the heap rather than being page-faulted back in. Sized
+    from the mesh: a fixed 1 MiB faults more than glibc's own at 32^3 P1,
+    and the trim threshold stays resident after a peak. No-op off glibc."""
+    global _held_bytes
+    mmap_threshold = min(max(2 * nbytes, 1 << 20), 32 << 20)
+    if mmap_threshold <= _held_bytes:
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    if (mallopt(m_mmap_threshold, mmap_threshold)
+            and mallopt(m_trim_threshold, 32 * mmap_threshold)):
+        _held_bytes = mmap_threshold
+
+
 class GlobalOperators:
     """Matrix-free actions of mass, gradient, divergence, Laplacian, ...
 
@@ -136,9 +164,9 @@ class GlobalOperators:
         # Flat quadrature weights (incl. |J|).
         self._wq = reduce(np.kron, [b.quad_weights] * dim) * (
             mesh.elem_volume / 2.0**dim)
-        # Below p = 4 dense element blocks win where it costs most: on a
-        # 10^3 GLL P3 mesh the single-axis viscous operator takes 4.0 ms
-        # against 3.0 ms per apply, and CG applies it several times a step.
+        # Below p = 4 dense element blocks win where it costs most: at 10^3
+        # GLL P3 the single-axis viscous operator is 1.27x slower per apply,
+        # and CG applies it several times a step (convection and LPS: 0.8x).
         self._single_axis = b.collocated and b.order >= 4
         self._elem_shape = ((mesh.n_elems,) + (b.n_quad,) * dim
                             if self._single_axis else (mesh.n_elems, -1))
@@ -146,6 +174,9 @@ class GlobalOperators:
         self.lumped_mass = self._assemble_lumped_mass()
         self._inv_lumped = 1.0 / self.lumped_mass
         self._eigenpairs = {}  # see _box_factors
+        # A step's largest array: element-wise or a stacked vector field.
+        _hold_freed_arrays(8 * max(mesh.n_elems * self._nqd,
+                                   dim * mesh.n_dofs))
 
     # -- kernels ---------------------------------------------------------------
 
@@ -377,8 +408,8 @@ class GlobalOperators:
         out = np.empty_like(data)
         for m in range(dim):
             if self._single_axis:
-                # sum_k D_k^T W (d_k u_m + d_m u_k) term by term: holding all
-                # dim^2 gradients costs more in page faults than recomputing.
+                # sum_k D_k^T W (d_k u_m + d_m u_k) term by term: as fast as
+                # holding all dim^2 gradients, with dim^2 - 1 fewer arrays.
                 acc = 0.0
                 for k in range(dim):
                     s = self._deriv(locs[m], k)

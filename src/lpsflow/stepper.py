@@ -31,7 +31,6 @@ from .boundary import (
     poisson_boundary_term,
     wall_pressure_neumann,
 )
-from .diagnostics import divergence_norm
 from .mesh import BoundaryTag
 from .operators import ConvectiveForm, GlobalOperators, ScalarField, VectorField
 from .stabilization import StabilizationConfig, StabilizationMode, momentum_stabilization
@@ -114,7 +113,6 @@ class StepReport:
     dt: float
     poisson_iters: tuple  # one 0 per stage: the pressure solve is direct
     diffusion_iters: int
-    div_norm: float
     wall_seconds: float
 
 
@@ -356,7 +354,6 @@ class Stepper:
             dt=dt,
             poisson_iters=(0,) * len(stages),
             diffusion_iters=diff_iters,
-            div_norm=divergence_norm(self.ops, u_next),
             wall_seconds=time.perf_counter() - t0,
         )
         return u_next, report
