@@ -6,7 +6,7 @@ per Runge-Kutta stage, and projection-based stabilization of the momentum
 equation.
 """
 
-from .basis import Basis1D, equispaced_basis, eval_tensor_gradient, gll_basis
+from .basis import Basis1D, equispaced_basis, gll_basis
 from .boundary import (
     BoundaryData,
     OutflowConfig,

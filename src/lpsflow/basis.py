@@ -20,7 +20,6 @@ __all__ = [
     "gauss_legendre_rule",
     "lagrange_eval_matrix",
     "differentiation_matrix",
-    "eval_tensor_gradient",
 ]
 
 _NEWTON_TOL = 1e-15
@@ -271,28 +270,3 @@ def apply_kron(mats, values, first_axis=0):
         values = apply_along_axis(mat, values, a)
     return values
 
-
-def eval_tensor_gradient(basis, dim, elem_nodal_values):
-    """Reference-element gradient of a nodal field at the quadrature points.
-
-    ``elem_nodal_values`` holds (p+1)^dim coefficients ordered with the last
-    axis fastest (x fastest for the (z, y, x) tensor layout). Returns an array
-    of shape (dim, nq, ..., nq): component k is the d/dxi_k derivative of the
-    degree-p interpolant, exact at every quadrature point.
-    """
-    m = basis.n_nodes
-    values = np.asarray(elem_nodal_values, dtype=float)
-    expected = m**dim
-    if values.size != expected:
-        raise ValueError(
-            f"expected {expected} nodal values for dim={dim}, p={basis.order}; "
-            f"got {values.size}"
-        )
-    values = values.reshape((m,) * dim)
-    grad = np.empty((dim,) + (basis.n_quad,) * dim)
-    for k in range(dim):
-        # Tensor axis for spatial direction k: x is the last axis.
-        grad[k] = apply_kron([basis.quad_diff_matrix if a == dim - 1 - k
-                              else basis.eval_matrix for a in range(dim)],
-                             values)
-    return grad

@@ -290,12 +290,8 @@ class GlobalOperators:
         pts = self.quadrature_coords()
         fvals = np.asarray(fn(pts.reshape(-1, self.mesh.dim)), dtype=float)
         fvals = fvals.reshape(self.mesh.n_elems, self._nqd)
-        return self.assemble_quad_values(fvals)
-
-    def assemble_quad_values(self, qvals) -> ScalarField:
-        """Integral against every test function of values at quad points."""
         return ScalarField(self.mesh,
-                           self._scatter(self._from_quad_t(qvals * self._wq)))
+                           self._scatter(self._from_quad_t(fvals * self._wq)))
 
     # -- spec operators ----------------------------------------------------
 

@@ -70,17 +70,16 @@ def lps_term(ops: GlobalOperators, phi: ScalarField, nu_elem: np.ndarray,
              c_s: float) -> ScalarField:
     """Projection term: c_s * quad(nu_e grad w . (g_h(phi) - grad phi)).
 
-    ``g_h`` is the lumped-mass projected gradient; with collocated
+    ``g_h`` is :meth:`GlobalOperators.project_gradient`, the lumped-mass
+    projected gradient that the pressure correction applies; with collocated
     quadrature the difference vanishes identically at element-interior
     nodes, so only inter-element mismatch is penalized.
     """
     if c_s == 0.0:
         return ScalarField(ops.mesh)
-    flux = []
-    for grad_q in ops.grad_at_quad(phi.values):
-        # g_h from the same quadrature gradient: M_L^{-1} Phi^T (W grad phi).
-        g = ops.assemble_quad_values(grad_q).values * ops._inv_lumped
-        flux.append(ops.interp_to_quad(g) - grad_q)
+    g = ops.project_gradient(phi).data
+    flux = [ops.interp_to_quad(g_k) - grad_q
+            for g_k, grad_q in zip(g, ops.grad_at_quad(phi.values))]
     out = ops.weak_div_flux(flux, elem_scale=np.asarray(nu_elem, dtype=float))
     out.values *= c_s
     return out

@@ -1,10 +1,12 @@
 """Fractional-step time integration with per-stage pressure projection.
 
-One explicit stage advances convection plus stabilization, a pressure
-Poisson solve enforces incompressibility on the corrected stage velocity,
-and the linear diffusion term is folded in implicitly once per step. The
-explicit part can be wrapped in multistage strong-stability-preserving
-Runge-Kutta schemes; the Poisson problem is solved at every stage.
+Every stage of a strong-stability-preserving Runge-Kutta scheme, written in
+Shu-Osher form, mixes the step's start u_n with one explicit Euler
+prediction of the previous stage, v_s = a u_n + b predict(v_{s-1}) with
+a + b = 1; ``predict`` advances convection plus stabilization. A pressure
+Poisson solve then projects v_s with the projected gradient g_h that LPS
+stabilization also uses, and the linear diffusion term is folded in
+implicitly once per step.
 
 All linear systems are SPD. The pressure system is solved directly on every
 mesh, by fast diagonalization of its Kronecker structure; outflow faces pin
@@ -47,20 +49,17 @@ __all__ = [
     "solve_poisson",
 ]
 
-# Shu-Osher coefficients: v_s = a*u_n + b*v_{s-1} + c*dt*F(v_{s-1}).
+# Shu-Osher coefficients (a, b), a + b = 1: v_s = a*u_n + b*predict(v_{s-1}),
+# where predict(v) = v + dt*F(v) is one forward Euler step.
 RK_STAGES = {
-    "euler1": ((0.0, 1.0, 1.0),),
-    "heun2": ((0.0, 1.0, 1.0), (0.5, 0.5, 0.5)),
-    "ssprk3": ((0.0, 1.0, 1.0), (0.75, 0.25, 0.25), (1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0)),
+    "euler1": ((0.0, 1.0),),
+    "heun2": ((0.0, 1.0), (0.5, 0.5)),
+    "ssprk3": ((0.0, 1.0), (0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0)),
 }
 
 
 class SolverAbort(RuntimeError):
     """Time integration cannot continue (blow-up, CFL violation, ...)."""
-
-    def __init__(self, message, t_last=None):
-        super().__init__(message)
-        self.t_last = t_last
 
 
 class CflError(SolverAbort):
@@ -309,7 +308,7 @@ class Stepper:
     def max_speed(self, u: VectorField):
         return float(np.sqrt(np.max(np.sum(u.data**2, axis=0))))
 
-    def check_cfl(self, u: VectorField, t=None, dt=None):
+    def check_cfl(self, u: VectorField, dt=None):
         limit = self.scheme.cfl_limit
         if limit is None or not np.isfinite(limit):
             return
@@ -319,8 +318,7 @@ class Stepper:
         if cfl > limit:
             raise CflError(
                 f"CFL number {cfl:.3f} exceeds the configured limit {limit:.3f}"
-                " (raise scheme.cfl_limit to override)",
-                t_last=t,
+                " (raise scheme.cfl_limit to override)"
             )
 
     def step(self, u: VectorField, t: float, dt=None):
@@ -328,27 +326,23 @@ class Stepper:
         returns (u_next, StepReport)."""
         t0 = time.perf_counter()
         dt = self.scheme.dt if dt is None else dt
-        self.check_cfl(u, t, dt)
+        self.check_cfl(u, dt)
         stages = RK_STAGES[self.scheme.rk]
-        u0 = u
         prev = u
-        for a, b, c in stages:
-            rhs = self.inviscid_rhs(prev)
-            data = b * prev.data + (c * dt) * rhs
-            if a != 0.0:
-                data = data + a * u0.data
-            v = VectorField(self.ops.mesh, data)
+        for a, b in stages:
+            v = self.predict(prev, dt)
+            if a != 0.0:  # else b = 1: the stage is the Euler step itself
+                v = VectorField(self.ops.mesh, a * u.data + b * v.data)
             p = self.solve_pressure(v, dt)
             v = self.correct(v, p, dt)
             apply_velocity_dirichlet(v, self.boundary)
             if not np.all(np.isfinite(v.data)):
-                raise SolverAbort("non-finite values after projection stage",
-                                  t_last=t)
+                raise SolverAbort("non-finite values after projection stage")
             prev = v
             self.pressure = p
         u_next, diff_iters = self.diffuse(prev, dt)
         if not np.all(np.isfinite(u_next.data)):
-            raise SolverAbort("non-finite values after diffusion", t_last=t)
+            raise SolverAbort("non-finite values after diffusion")
         report = StepReport(
             t=t + dt,
             dt=dt,

@@ -4,7 +4,6 @@ import pytest
 from lpsflow.basis import (
     differentiation_matrix,
     equispaced_basis,
-    eval_tensor_gradient,
     gll_basis,
     gll_nodes_weights,
     lagrange_eval_matrix,
@@ -120,40 +119,3 @@ def test_differentiation_matrix_vs_barycentric_identity():
     D = differentiation_matrix(nodes)
     # Derivative of x^2 sampled at arbitrary nodes.
     assert np.allclose(D @ nodes**2, 2 * nodes, atol=1e-13)
-
-
-class TestTensorGradient:
-    def test_constant_field(self):
-        b = gll_basis(3)
-        vals = np.full((4, 4), 7.5)
-        g = eval_tensor_gradient(b, 2, vals)
-        assert np.max(np.abs(g)) < 1e-12
-
-    def test_linear_field_unit_gradient(self):
-        b = gll_basis(2)
-        xi = b.nodes
-        vals = np.tile(xi, (3, 1))  # field = xi (x varies fastest)
-        g = eval_tensor_gradient(b, 2, vals)
-        assert np.allclose(g[0], 1.0, atol=1e-13)
-        assert np.allclose(g[1], 0.0, atol=1e-13)
-
-    def test_quadratic_1d(self):
-        b = gll_basis(2)
-        vals = b.nodes**2
-        g = eval_tensor_gradient(b, 1, vals)
-        assert np.allclose(g[0], [-2.0, 0.0, 2.0], atol=1e-13)
-
-    def test_shape_mismatch_raises(self):
-        b = gll_basis(2)
-        with pytest.raises(ValueError):
-            eval_tensor_gradient(b, 2, np.zeros(5))
-
-    def test_3d_mixed_polynomial(self):
-        b = gll_basis(3)
-        xi = b.nodes
-        Z, Y, X = np.meshgrid(xi, xi, xi, indexing="ij")
-        vals = X**2 * Y + Z
-        g = eval_tensor_gradient(b, 3, vals)
-        assert np.allclose(g[0], 2 * X * Y, atol=1e-12)
-        assert np.allclose(g[1], X**2, atol=1e-12)
-        assert np.allclose(g[2], 1.0, atol=1e-12)

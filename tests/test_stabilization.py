@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpsflow.mesh import build_structured_mesh, wall_tags
+from lpsflow.mesh import build_structured_mesh, periodic_tags, wall_tags
 from lpsflow.operators import GlobalOperators, ScalarField, VectorField
 from lpsflow.stabilization import (
     StabilizationConfig,
@@ -148,6 +148,32 @@ class TestLpsTerm:
         got = lps_term(ops, ScalarField(mesh, phi.copy()), nu, 0.7).values
         want = dense.lps(phi, nu, 0.7)
         assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("dim,elems,p,spacing,over,walls", [
+        (2, (3, 2), 3, "equispaced", False, ("x", "y")),
+        (2, (3, 2), 2, "gll", True, ()),
+        (3, (2, 3, 2), 2, "gll", False, ("y",)),
+        (3, (2, 2, 2), 4, "equispaced", False, ()),
+    ])
+    def test_against_dense_oracle_off_collocation(self, dim, elems, p, spacing,
+                                                  over, walls, rng):
+        # Quadrature points off the nodes (equispaced p >= 3, an
+        # over-integrated rule), 3D, and wall faces, where g_h is one-sided.
+        tags = periodic_tags(dim)
+        for axis in walls:
+            tags[f"{axis}_min"] = tags[f"{axis}_max"] = "wall"
+        mesh = build_structured_mesh(dim, [(0.0, 1.0), (-1.0, 0.5),
+                                           (0.25, 1.0)][:dim],
+                                     elems, p, spacing, tags)
+        basis = mesh.basis.over_integrated() if over else None
+        ops = GlobalOperators(mesh, basis)
+        dense = DenseOracle(mesh, basis)
+        phi = rng.standard_normal(mesh.n_dofs)
+        nu = rng.uniform(0.1, 1.0, mesh.n_elems)
+        got = lps_term(ops, ScalarField(mesh, phi.copy()), nu, 0.7).values
+        want = dense.lps(phi, nu, 0.7)
+        tol = 1e-12 * max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(got - want)) <= tol
 
     @pytest.mark.parametrize("p,rate", [(1, 2), (2, 2), (3, 3)])
     def test_projection_recovery_order(self, p, rate):

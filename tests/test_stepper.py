@@ -18,6 +18,7 @@ from lpsflow.operators import (
 )
 from lpsflow.stabilization import StabilizationConfig
 from lpsflow.stepper import (
+    RK_STAGES,
     CflError,
     LinearSolveError,
     PhysicalParams,
@@ -600,6 +601,17 @@ class TestStep:
         with pytest.raises(CflError):
             st.step(u, 0.0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nonfinite_aborts_at_prediction(self):
+        # The abort names the stage quantity that failed, before the
+        # pressure solve sees the non-finite data.
+        mesh = periodic_mesh(2, 4, 1)
+        st = make_stepper(mesh, dt=0.01)
+        u = VectorField(mesh)
+        u.data[0, 0] = np.inf
+        with pytest.raises(SolverAbort, match="predicted velocity"):
+            st.step(u, 0.0)
+
     def test_cfl_guard_override(self):
         mesh = periodic_mesh(2, 4, 1)
         st = make_stepper(mesh, dt=0.4, cfl=None)  # inf: explicitly overridden
@@ -743,6 +755,19 @@ class TestChannelFlow:
         # Flow keeps moving out of the domain.
         outlet = mesh.boundary_faces["x_max"].dof_ids
         assert np.mean(u.data[0, outlet]) > 0.1
+
+
+@pytest.mark.parametrize("rk", sorted(RK_STAGES))
+def test_rk_stages_are_convex_shu_osher_pairs(rk):
+    # step forms each stage as a*u_n + b*predict(v_{s-1}); the first stage
+    # is the prediction itself.
+    stages = RK_STAGES[rk]
+    assert stages[0] == (0.0, 1.0)
+    for stage in stages:
+        assert len(stage) == 2
+        a, b = stage
+        assert a >= 0.0 and b > 0.0
+        assert a + b == pytest.approx(1.0, abs=1e-15)
 
 
 def test_scheme_validation():
