@@ -21,14 +21,8 @@ from .diagnostics import (
     kinetic_energy,
     stabilization_power,
 )
-from .mesh import BoundaryTag, Mesh, build_structured_mesh, element_size
-from .operators import (
-    ConvectiveForm,
-    GlobalOperators,
-    ScalarField,
-    VectorField,
-    assemble_lumped_mass,
-)
+from .mesh import BoundaryTag, Mesh, build_structured_mesh
+from .operators import ConvectiveForm, GlobalOperators, ScalarField, VectorField
 from .stabilization import (
     StabilizationConfig,
     StabilizationMode,

@@ -132,8 +132,12 @@ def _run_manufactured_poisson(cfg: RunConfig, out_dir: Path, log):
     return RunResult(EXIT_OK, out_dir, [], mpath, f"l2_error={err:.6e}")
 
 
-def run(cfg: RunConfig, initial_condition=None, mesh=None, log=print):
-    """Execute one configured run; returns a RunResult with the exit code."""
+def run(cfg: RunConfig, initial_condition=None, log=print):
+    """Execute one configured run; returns a RunResult with the exit code.
+
+    ``initial_condition`` is a point function points -> (npts, dim) for the
+    velocity at t = 0; without it the case's built-in one is used.
+    """
     out_dir = Path(cfg.output_dir())
     out_dir.mkdir(parents=True, exist_ok=True)
     if log is None:
@@ -143,16 +147,11 @@ def run(cfg: RunConfig, initial_condition=None, mesh=None, log=print):
     if cfg.case == "manufactured_poisson":
         return _run_manufactured_poisson(cfg, out_dir, log)
 
-    if isinstance(initial_condition, VectorField):
-        u = initial_condition
-        mesh = u.mesh if mesh is None else mesh
+    mesh = build_mesh(cfg)
+    if initial_condition is None:
+        u = initial_velocity(cfg, mesh)
     else:
-        if mesh is None:
-            mesh = build_mesh(cfg)
-        if initial_condition is None:
-            u = initial_velocity(cfg, mesh)
-        else:
-            u = VectorField.from_function(mesh, initial_condition)
+        u = VectorField.from_function(mesh, initial_condition)
 
     ops = GlobalOperators(mesh)
     physics = cfg.physical_params()

@@ -8,7 +8,7 @@ which is what makes the mass matrix diagonal.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "gll_basis",
     "equispaced_basis",
     "gll_nodes_weights",
-    "gauss_legendre_rule",
     "lagrange_eval_matrix",
     "differentiation_matrix",
 ]
@@ -84,11 +83,6 @@ def gll_nodes_weights(p):
     return x, w
 
 
-def gauss_legendre_rule(npoints):
-    """Gauss-Legendre nodes/weights on [-1, 1] (exact to degree 2n-1)."""
-    return np.polynomial.legendre.leggauss(npoints)
-
-
 def _barycentric_weights(nodes):
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
@@ -144,18 +138,12 @@ class Basis1D:
     eval_matrix: np.ndarray
     quad_diff_matrix: np.ndarray
     collocated: bool
-    spacing: str = "gll"
-    quad_exact_degree: int = field(default=-1)
-
-    @property
-    def n_nodes(self):
-        return self.order + 1
 
     @property
     def n_quad(self):
         return self.quad_nodes.size
 
-    def with_quadrature(self, quad_nodes, quad_weights, exact_degree=-1):
+    def with_quadrature(self, quad_nodes, quad_weights):
         """Same nodal basis evaluated on a different quadrature rule."""
         quad_nodes = np.asarray(quad_nodes, dtype=float)
         B = lagrange_eval_matrix(self.nodes, quad_nodes)
@@ -163,7 +151,7 @@ class Basis1D:
             quad_nodes, self.nodes
         )
         if collocated:
-            B, Dq = np.eye(self.n_nodes), self.diff_matrix
+            B, Dq = np.eye(self.nodes.size), self.diff_matrix
         else:
             # l'_j has degree p-1, so its nodal interpolant is exact.
             Dq = B @ self.diff_matrix
@@ -176,24 +164,20 @@ class Basis1D:
             eval_matrix=B,
             quad_diff_matrix=Dq,
             collocated=collocated,
-            spacing=self.spacing,
-            quad_exact_degree=exact_degree,
         )
 
-    def over_integrated(self, min_degree=None):
-        """Copy of this basis with a Gauss-Legendre rule exact to min_degree.
+    def over_integrated(self):
+        """Copy of this basis with a Gauss-Legendre rule exact to degree 3p.
 
         Used in verification paths (e.g. discrete skew-symmetry checks) that
         need exact integration of products beyond what the collocated rule
-        covers. Default degree is 3p.
+        covers.
         """
-        deg = 3 * self.order if min_degree is None else min_degree
-        npts = deg // 2 + 1
-        xq, wq = gauss_legendre_rule(npts)
-        return self.with_quadrature(xq, wq, exact_degree=2 * npts - 1)
+        xq, wq = np.polynomial.legendre.leggauss(3 * self.order // 2 + 1)
+        return self.with_quadrature(xq, wq)
 
 
-def _make_basis(nodes, spacing):
+def _make_basis(nodes):
     """Nodal basis on ``nodes`` with the GLL rule of the same order."""
     nodes = np.asarray(nodes, dtype=float)
     p = nodes.size - 1
@@ -212,15 +196,14 @@ def _make_basis(nodes, spacing):
         eval_matrix=np.eye(p + 1),
         quad_diff_matrix=D,
         collocated=True,
-        spacing=spacing,
     )
-    return base.with_quadrature(xq, wq, exact_degree=2 * p - 1)
+    return base.with_quadrature(xq, wq)
 
 
 def gll_basis(p):
     """Spectral basis: GLL nodes with collocated GLL quadrature."""
     xq, _ = gll_nodes_weights(p)
-    return _make_basis(xq, "gll")
+    return _make_basis(xq)
 
 
 def equispaced_basis(p):
@@ -234,7 +217,7 @@ def equispaced_basis(p):
     if p < 1:
         raise ValueError(f"order must be >= 1, got {p}")
     nodes = np.linspace(-1.0, 1.0, p + 1)
-    return _make_basis(nodes, "equispaced")
+    return _make_basis(nodes)
 
 
 def make_basis(p, spacing):

@@ -44,6 +44,16 @@ class OutflowConfig:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
 
+def _union_dofs(mesh, faces):
+    """Ascending DoF ids on any of ``faces``, shared edges counted once.
+    (A mask, not np.unique, which imports numpy.ma: ~1.7 MB of RSS on
+    numpy 2.4.)"""
+    on = np.zeros(mesh.n_dofs, dtype=bool)
+    for f in faces:
+        on[f.dof_ids] = True
+    return np.flatnonzero(on)
+
+
 class BoundaryData:
     """Tagged boundary DoFs with normals and prescribed wall velocities."""
 
@@ -54,16 +64,8 @@ class BoundaryData:
         self.outflow_faces = outflow_faces
         self.outflow_cfg = outflow_cfg
         self.wall_values = wall_values  # (dim, ndofs), meaningful on walls
-
-        ndofs = mesh.n_dofs
-        self.wall_mask = np.zeros(ndofs, dtype=bool)
-        for f in wall_faces:
-            self.wall_mask[f.dof_ids] = True
-        self.outflow_mask = np.zeros(ndofs, dtype=bool)
-        for f in outflow_faces:
-            self.outflow_mask[f.dof_ids] = True
-        self.wall_dofs = np.flatnonzero(self.wall_mask)
-        self.outflow_dofs = np.flatnonzero(self.outflow_mask)
+        self.wall_dofs = _union_dofs(mesh, wall_faces)
+        self.outflow_dofs = _union_dofs(mesh, outflow_faces)
 
     @property
     def has_walls(self):

@@ -28,17 +28,16 @@ def _require_periodic_box(mesh, dim, what):
             raise ValueError(f"{what} is defined on [0, 2*pi]^{dim}")
 
 
-def shear_layer_velocity(points, width=SHEAR_LAYER_WIDTH,
-                         perturbation=SHEAR_LAYER_PERTURBATION):
+def shear_layer_velocity(points):
     """Double tanh shear profile with a sinusoidal cross perturbation."""
     x = points[:, 0]
     y = points[:, 1]
     u = np.where(
         y <= np.pi,
-        np.tanh((y - np.pi / 2.0) / width),
-        np.tanh((3.0 * np.pi / 2.0 - y) / width),
+        np.tanh((y - np.pi / 2.0) / SHEAR_LAYER_WIDTH),
+        np.tanh((3.0 * np.pi / 2.0 - y) / SHEAR_LAYER_WIDTH),
     )
-    v = perturbation * np.sin(x)
+    v = SHEAR_LAYER_PERTURBATION * np.sin(x)
     return np.stack([u, v], axis=1)
 
 

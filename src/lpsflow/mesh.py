@@ -20,7 +20,6 @@ __all__ = [
     "Mesh",
     "build_structured_mesh",
     "check_mesh_request",
-    "element_size",
     "periodic_tags",
     "wall_tags",
     "face_names",
@@ -266,11 +265,3 @@ def check_mesh_request(dim, extents, elems_per_axis, order, boundary_tags):
             )
     return tags
 
-
-def element_size(mesh, elem_id):
-    """Element size h^e: the minimum edge length of the (box) element."""
-    if not 0 <= elem_id < mesh.n_elems:
-        raise IndexError(
-            f"element id {elem_id} out of range [0, {mesh.n_elems})"
-        )
-    return float(mesh.h_elem[elem_id])

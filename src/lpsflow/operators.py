@@ -38,7 +38,6 @@ __all__ = [
     "VectorField",
     "ConvectiveForm",
     "GlobalOperators",
-    "assemble_lumped_mass",
 ]
 
 
@@ -62,11 +61,6 @@ class ScalarField:
 
     def copy(self):
         return ScalarField(self.mesh, self.values.copy())
-
-    @classmethod
-    def from_function(cls, mesh, fn):
-        """Sample fn(x) (vectorized over points) at the mesh nodes."""
-        return cls(mesh, np.asarray(fn(mesh.node_coords), dtype=float))
 
 
 class VectorField:
@@ -322,14 +316,13 @@ class GlobalOperators:
             self._kron_term(phi.values, k, self.axis_matrices[k][0])
             for k in range(self.mesh.dim)))
 
-    def weak_div_flux(self, flux_at_quad, elem_scale=None) -> ScalarField:
-        """Assemble quad(grad w . F) from a flux F given at quadrature points."""
+    def weak_div_flux(self, flux_at_quad, elem_scale) -> ScalarField:
+        """Assemble quad(grad w . F) from a flux F given at quadrature points,
+        each element's contribution scaled by elem_scale[e]."""
         acc = reduce(np.add, (
             self._deriv(flux_at_quad[k].reshape(-1, self._nqd) * self._wq, k,
                         transpose=True) for k in range(self.mesh.dim)))
-        if elem_scale is not None:
-            acc = acc * np.asarray(elem_scale)[:, None]
-        return ScalarField(self.mesh, self._scatter(acc))
+        return ScalarField(self.mesh, self._scatter(acc * elem_scale[:, None]))
 
     def convective_term(self, u: VectorField, form) -> VectorField:
         """Assembled residual of the convective operator in the given form.
@@ -572,7 +565,3 @@ class GlobalOperators:
         out[free] = x
         return out.ravel()
 
-
-def assemble_lumped_mass(mesh, basis=None):
-    """Diagonal lumped mass for the mesh (row sums of the consistent mass)."""
-    return GlobalOperators(mesh, basis).lumped_mass

@@ -173,6 +173,8 @@ class TestConfig:
         (("output", "snapshot_format"), "hdf5"),
         (("mesh", "n"), "0"),
         (("mesh", "n"), "8,0"),
+        (("physics", "nu"), "nan"),
+        (("scheme", "cfl_limit"), "nan"),
     ])
     def test_owner_rules_raise_config_error(self, seckey, value):
         with pytest.raises(ConfigError):

@@ -6,7 +6,6 @@ from lpsflow.mesh import (
     NameEnum,
     MeshError,
     build_structured_mesh,
-    element_size,
     periodic_tags,
     wall_tags,
 )
@@ -89,30 +88,24 @@ def test_element_volumes_sum_to_domain():
 
 def test_element_size_uniform_partition():
     m = periodic_mesh(1, 16, 3)
-    assert abs(element_size(m, 0) - np.pi / 8.0) < 1e-14
+    assert abs(m.h_elem[0] - np.pi / 8.0) < 1e-14
 
 
 def test_element_size_unit_cube():
     m = walled_mesh(3, 1, 2, length=1.0)
-    assert element_size(m, 0) == 1.0
+    assert m.h_elem[0] == 1.0
 
 
 def test_element_size_30x30():
     m = periodic_mesh(2, 30, 1)
-    assert abs(element_size(m, 17) - np.pi / 15.0) < 1e-14
+    assert abs(m.h_elem[17] - np.pi / 15.0) < 1e-14
 
 
 def test_element_size_anisotropic_takes_min():
     m = build_structured_mesh(
         2, [(0.0, 1.0), (0.0, 4.0)], (4, 4), 1, "gll", wall_tags(2)
     )
-    assert abs(element_size(m, 0) - 0.25) < 1e-15
-
-
-def test_element_size_bad_id():
-    m = periodic_mesh(1, 4, 1)
-    with pytest.raises(IndexError):
-        element_size(m, 99)
+    assert abs(m.h_elem[0] - 0.25) < 1e-15
 
 
 class TestValidation:

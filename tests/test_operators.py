@@ -8,7 +8,6 @@ from lpsflow.operators import (
     GlobalOperators,
     ScalarField,
     VectorField,
-    assemble_lumped_mass,
 )
 
 from conftest import TWO_PI, periodic_mesh, walled_mesh
@@ -38,7 +37,7 @@ class TestLumpedMass:
         ids=["2d-periodic", "3d-walls", "1d-periodic"],
     )
     def test_partition_of_unity(self, mesh):
-        diag = assemble_lumped_mass(mesh)
+        diag = GlobalOperators(mesh).lumped_mass
         assert abs(diag.sum() - mesh.domain_volume) < 1e-12 * mesh.domain_volume
         assert np.all(diag > 0)
 

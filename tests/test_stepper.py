@@ -490,10 +490,12 @@ class TestDiffusionPreconditioner:
         bdata = build_boundary_data(mesh)
         walls = bdata.wall_dofs
         bdata.wall_values[:, walls] = rng.standard_normal((2, walls.size))
+        off = np.ones(mesh.n_dofs, dtype=bool)
+        off[walls] = False
         u = VectorField(mesh, rng.standard_normal((2, mesh.n_dofs)))
         outs = []
         for off_walls in (0.0, 7.0):
-            bdata.wall_values[:, ~bdata.wall_mask] = off_walls
+            bdata.wall_values[:, off] = off_walls
             st = Stepper(GlobalOperators(mesh), PhysicalParams(0.3),
                          TimeScheme(dt=0.05, cg_tol=1e-12), boundary=bdata)
             outs.append(st.diffuse(u)[0].data)
@@ -778,4 +780,10 @@ def test_scheme_validation():
     with pytest.raises(ValueError):
         TimeScheme(dt=0.1, cg_tol=2.0)
     with pytest.raises(ValueError):
+        TimeScheme(dt=0.1, cfl_limit=np.nan)
+    with pytest.raises(ValueError):
+        TimeScheme(dt=0.1, cfl_limit=0.0)
+    with pytest.raises(ValueError):
         PhysicalParams(nu=-1.0)
+    with pytest.raises(ValueError):
+        PhysicalParams(nu=np.nan)
