@@ -201,6 +201,8 @@ class RunConfig:
         # Viscosity from the Reynolds number when not given directly.
         nu, re = v[("physics", "nu")], v[("physics", "Re")]
         v0, l0 = v[("physics", "V0")], v[("physics", "L0")]
+        if not math.isfinite(v0):
+            raise ConfigError(f"physics.V0 must be finite, got {v0}")
         if re > 0.0:
             nu_from_re = v0 * l0 / re
             if nu >= 0.0 and not math.isclose(nu, nu_from_re, rel_tol=1e-12):
@@ -221,7 +223,8 @@ class RunConfig:
             speed = max(v[("physics", "V0")], 1e-30)
             dt_raw = target * h_min / (v[("mesh", "p")] * speed)
             t_end = v[("scheme", "t_end")]
-            v[("scheme", "dt")] = t_end / math.ceil(t_end / dt_raw)
+            if math.isfinite(t_end) and t_end > 0.0:  # else TimeScheme rejects it
+                v[("scheme", "dt")] = t_end / math.ceil(t_end / dt_raw)
 
     def _validate(self):
         """Check every value through the object that owns its rule."""

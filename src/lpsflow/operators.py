@@ -8,11 +8,14 @@ Laplacian and curl and the lumped mass contract them along the axes of the
 preconditioner and the wall surface integral use the same K1 and M1, so
 the Laplacian applied is the one inverted. No global matrix is stored.
 
-What varies per element or per quadrature point (convection,
-stabilization, the viscous operator, integrals at the quadrature points)
-is an element loop in disguise: gather element-local nodal values with
-fancy indexing, differentiate them, weight them at the quadrature points
-and scatter-add back with ``np.bincount``. The derivative d/dx_k and its
+The projection stabilization at a collocated rule is a penalty on the
+jumps of the normal derivative across element faces, so it too is built
+from 1D matrices per axis (``face_jumps``). What else varies per element
+or per quadrature point (convection, the low-order stabilization, the
+viscous operator, integrals at the quadrature points) is an element loop
+in disguise: gather element-local nodal values with fancy indexing,
+differentiate them, weight them at the quadrature points and scatter-add
+back with ``np.bincount``. The derivative d/dx_k and its
 transpose follow from the basis alone. With collocated GLL quadrature and
 p >= 4 they contract the 1D matrix D (2/h_k) along one axis of the
 (E, m, ..., m) element array (sum factorization); otherwise they multiply
@@ -160,7 +163,7 @@ class GlobalOperators:
             mesh.elem_volume / 2.0**dim)
         # Below p = 4 dense element blocks win where it costs most: at 10^3
         # GLL P3 the single-axis viscous operator is 1.27x slower per apply,
-        # and CG applies it several times a step (convection and LPS: 0.8x).
+        # and CG applies it several times a step (convection: 0.8x).
         self._single_axis = b.collocated and b.order >= 4
         self._elem_shape = ((mesh.n_elems,) + (b.n_quad,) * dim
                             if self._single_axis else (mesh.n_elems, -1))
@@ -440,6 +443,43 @@ class GlobalOperators:
             np.add.at(m1, (rows, cols), (0.5 * h) * (B.T @ (w[:, None] * B)))
             np.add.at(g1, (rows, cols), B.T @ (w[:, None] * Dq))
             out.append((k1, m1, g1))
+        return out
+
+    @cached_property
+    def face_jumps(self):
+        """Per spatial axis k, the 1D matrices of the LPS face form at a
+        collocated rule (:func:`lpsflow.stabilization.lps_term`), with D
+        the derivative matrix and w the quadrature weights of the basis:
+
+        - C (faces x n_k): the jump (2/h_k)(D[0] phi_right - D[p] phi_left)
+          of the one-sided derivative on every inter-element face. A
+          periodic axis has N_k faces, a non-periodic one only its N_k - 1
+          interior faces.
+        - S_left, S_right (n_k x faces): carry a face value back into the
+          left element through beta D[p]^T and into the right one through
+          -beta D[0]^T, beta = w_0 w_p / (w_0 + w_p).
+        - X (n_k x N_k): element values to nodes, entries w h_k / 2.
+        - left, right: the element index on either side of every face.
+        """
+        mesh, b = self.mesh, self.basis
+        D, w, p = b.quad_diff_matrix, b.quad_weights, b.order
+        beta = w[0] * w[p] / (w[0] + w[p])
+        out = []
+        for k in range(mesh.dim):
+            h, n = mesh.h_axes[k], mesh.dofs_per_axis[k]
+            ids, n_el = mesh._axis_dof_maps[k], mesh.elems_per_axis[k]
+            left = np.arange(n_el if mesh.periodic[k] else n_el - 1)
+            right = (left + 1) % n_el
+            faces = np.arange(left.size)[:, None]
+            jump = np.zeros((left.size, n))
+            np.add.at(jump, (faces, ids[right]), (2.0 / h) * D[0])
+            np.add.at(jump, (faces, ids[left]), (-2.0 / h) * D[p])
+            s_left, s_right = np.zeros((n, left.size)), np.zeros((n, left.size))
+            np.add.at(s_left, (ids[left], faces), beta * D[p])
+            np.add.at(s_right, (ids[right], faces), -beta * D[0])
+            expand = np.zeros((n, n_el))
+            np.add.at(expand, (ids, np.arange(n_el)[:, None]), (0.5 * h) * w)
+            out.append((jump, s_left, s_right, expand, left, right))
         return out
 
     @cached_property

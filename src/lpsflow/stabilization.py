@@ -2,9 +2,23 @@
 
 The element viscosity scales like (h/p) times the local propagation speed.
 The low-order option turns it into plain artificial diffusion; the
-projection option penalizes only the difference between the discrete
-gradient and its continuous (lumped-projected) counterpart, which is what
-keeps the added dissipation small and shrinking with p.
+projection option (LPS) penalizes only the difference between the discrete
+gradient and its continuous (lumped-projected) counterpart g_h, which is
+what keeps the added dissipation small and shrinking with p.
+
+At a collocated rule (GLL, or equispaced p <= 2) that difference is zero at
+element-interior nodes. On an inter-element face with normal axis k it is
+the jump J = (2/h_k)(D[0] phi_right - D[p] phi_left) of the one-sided
+normal derivative, times w_0 / (w_0 + w_p) on the left element and
+-w_p / (w_0 + w_p) on the right (both 1/2, the rule being symmetric);
+g_h is one-sided on a boundary face, so the difference is zero there.
+LPS is then an interior penalty on gradient jumps (Burman & Hansbo 2004,
+Braack & Burman 2006) and is evaluated on the (z, y, x) DoF grid from the
+1D matrices of :attr:`GlobalOperators.face_jumps`: per axis, the jumps
+C phi, weighted by c_s nu_e and the tangential quadrature weights of the
+elements either side, and spread back by S_left and S_right. Off
+collocation (equispaced p >= 3, over-integrated rules) the term is
+assembled by element kernels at the quadrature points.
 
 Sign convention: ``momentum_stabilization`` returns the term as added to the
 right-hand side of the explicit prediction step, i.e. oriented so that
@@ -12,9 +26,11 @@ right-hand side of the explicit prediction step, i.e. oriented so that
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
+from .basis import apply_along_axis
 from .mesh import NameEnum
 from .operators import GlobalOperators, ScalarField, VectorField
 
@@ -50,13 +66,27 @@ def upwind_viscosity(ops: GlobalOperators, u: VectorField) -> np.ndarray:
 
     The element speed is the largest Euclidean nodal speed within the
     element (nodes and quadrature points coincide on the spectral path).
+    A maximum over a tensor-product box is a 1D windowed maximum per axis
+    of the (z, y, x) DoF grid: the elementwise maximum of the p + 1
+    strided slices that hold each element's local nodes 0, ..., p.
     """
     mesh = ops.mesh
+    p = mesh.order
     speed2 = np.zeros(mesh.n_dofs)
     for k in range(u.ncomp):
         speed2 += u.data[k] ** 2
-    elem_max = np.sqrt(np.max(speed2[mesh.elem_to_dofs], axis=1))
-    return (mesh.h_elem / mesh.order) * elem_max / 2.0
+    v = speed2.reshape(mesh.dofs_per_axis[::-1])
+    for k in reversed(range(mesh.dim)):  # the unit-stride x axis last
+        ax, stop = mesh.dim - 1 - k, mesh.elems_per_axis[k] * p
+        lead = (slice(None),) * ax
+        # local[j]: local node j of every element along axis k.
+        local = [v[lead + (slice(j, j + stop, p),)] for j in range(p + 1)]
+        if mesh.periodic[k]:  # the last element ends on node 0
+            local[p] = np.concatenate(
+                [local[p], v[lead + (slice(0, 1),)]], axis=ax)
+        v = reduce(np.maximum, local)
+    elem_max = np.sqrt(v.ravel())
+    return (mesh.h_elem / p) * elem_max / 2.0
 
 
 def low_order_term(ops: GlobalOperators, phi: ScalarField,
@@ -66,17 +96,56 @@ def low_order_term(ops: GlobalOperators, phi: ScalarField,
                              elem_scale=np.asarray(nu_elem, dtype=float))
 
 
+def _face_weights(ops: GlobalOperators, nu_elem, c_s):
+    """Per axis k, c_s nu_e times the tangential quadrature weights of the
+    elements left and right of every axis-k face, on the face grid: nu on
+    the element grid contracted with X of every other axis."""
+    mesh = ops.mesh
+    dim = mesh.dim
+    nu = c_s * np.asarray(nu_elem, dtype=float).reshape(
+        mesh.elems_per_axis[::-1])
+    out = []
+    expand = [x for _, _, _, x, _, _ in ops.face_jumps]
+    for k, (*_, left, right) in enumerate(ops.face_jumps):
+        v = nu
+        for a in range(dim):
+            if a != k:
+                v = apply_along_axis(expand[a], v, dim - 1 - a)
+        out.append((np.take(v, left, axis=dim - 1 - k),
+                    np.take(v, right, axis=dim - 1 - k)))
+    return out
+
+
+def _face_lps(ops: GlobalOperators, values, weights):
+    """The LPS face form of one nodal field on the DoF grid: per axis, the
+    face jumps C phi, weighted by ``_face_weights`` and spread back by
+    S_left and S_right."""
+    dim = ops.mesh.dim
+    grid = values.reshape(ops.mesh.dofs_per_axis[::-1])
+    out = np.zeros_like(grid)
+    for k, ((jump, s_left, s_right, *_), (w_left, w_right)) in enumerate(
+            zip(ops.face_jumps, weights)):
+        ax = dim - 1 - k
+        j = apply_along_axis(jump, grid, ax)
+        out += apply_along_axis(s_left, j * w_left, ax)
+        out += apply_along_axis(s_right, j * w_right, ax)
+    return out.ravel()
+
+
 def lps_term(ops: GlobalOperators, phi: ScalarField, nu_elem: np.ndarray,
              c_s: float) -> ScalarField:
     """Projection term: c_s * quad(nu_e grad w . (g_h(phi) - grad phi)).
 
     ``g_h`` is :meth:`GlobalOperators.project_gradient`, the lumped-mass
-    projected gradient that the pressure correction applies; with collocated
-    quadrature the difference vanishes identically at element-interior
-    nodes, so only inter-element mismatch is penalized.
+    projected gradient that the pressure correction applies. At a
+    collocated rule the term is evaluated in its face form (module
+    docstring); otherwise by element kernels at the quadrature points.
     """
     if c_s == 0.0:
         return ScalarField(ops.mesh)
+    if ops.basis.collocated:
+        return ScalarField(ops.mesh, _face_lps(
+            ops, phi.values, _face_weights(ops, nu_elem, c_s)))
     g = ops.project_gradient(phi).data
     flux = [ops.interp_to_quad(g_k) - grad_q
             for g_k, grad_q in zip(g, ops.grad_at_quad(phi.values))]
@@ -90,13 +159,19 @@ def momentum_stabilization(ops: GlobalOperators, u: VectorField,
     """Stabilization residual for every velocity component.
 
     One shared element viscosity is computed from the velocity magnitude and
-    applied to each component. Returned with the dissipative orientation for
-    a right-hand-side term (see module docstring).
+    applied to each component; the LPS face form expands it to face weights
+    once for all of them. Returned with the dissipative orientation for a
+    right-hand-side term (see module docstring).
     """
     mode = config.mode
-    if mode is StabilizationMode.NONE:
+    if mode is StabilizationMode.NONE or (mode is StabilizationMode.LPS
+                                          and config.c_s == 0.0):
         return VectorField(ops.mesh, ncomp=u.ncomp)
     nu_elem = upwind_viscosity(ops, u)
+    if mode is StabilizationMode.LPS and ops.basis.collocated:
+        weights = _face_weights(ops, nu_elem, config.c_s)
+        return VectorField(ops.mesh, np.stack(
+            [_face_lps(ops, u.data[k], weights) for k in range(u.ncomp)]))
     out = np.empty_like(u.data)
     for k in range(u.ncomp):
         comp = ScalarField(ops.mesh, u.data[k])

@@ -20,6 +20,7 @@ the per-component diagonal blocks on that sub-grid
 (:meth:`GlobalOperators.diffusion_block_solver`).
 """
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -86,6 +87,8 @@ class TimeScheme:
     diffusion_theta: float = 1.0  # 1 = backward Euler, 0.5 = trapezoidal
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 < self.cg_tol < 1.0:
@@ -104,8 +107,9 @@ class PhysicalParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        if not self.nu >= 0:
-            raise ValueError(f"kinematic viscosity must be >= 0, got {self.nu}")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(
+                f"kinematic viscosity must be finite and >= 0, got {self.nu}")
 
 
 @dataclass
@@ -139,11 +143,11 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - apply_op(x)
-    z = precond(r)
-    d = z.copy()
-    rz = float(np.vdot(r, z))
     rnorm = float(np.linalg.norm(r))
     iters = 0
+    d = None
+    # The residual is tested before it is preconditioned, so a converged
+    # one never is: precond runs once per iteration.
     while rnorm > tol * bnorm:
         if iters >= max_iters:
             raise LinearSolveError(
@@ -151,6 +155,11 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
                 f"after {iters} iterations",
                 iters, rnorm / bnorm,
             )
+        z = precond(r)
+        rz_new = float(np.vdot(r, z))
+        # The copy keeps d apart from r, which the identity returns as z.
+        d = z.copy() if d is None else z + (rz_new / rz) * d
+        rz = rz_new
         ad = apply_op(d)
         dad = float(np.vdot(d, ad))
         if dad <= 0.0:
@@ -162,10 +171,6 @@ def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
         alpha = rz / dad
         x += alpha * d
         r -= alpha * ad
-        z = precond(r)
-        rz_new = float(np.vdot(r, z))
-        d = z + (rz_new / rz) * d
-        rz = rz_new
         rnorm = float(np.linalg.norm(r))
         iters += 1
     if not np.isfinite(rnorm):  # NaN ends the loop: nan > x is false

@@ -175,6 +175,12 @@ class TestConfig:
         (("mesh", "n"), "8,0"),
         (("physics", "nu"), "nan"),
         (("scheme", "cfl_limit"), "nan"),
+        (("scheme", "t_end"), "nan"),
+        (("scheme", "t_end"), "inf"),
+        (("scheme", "t_end"), "0"),
+        (("scheme", "t_end"), "-1"),
+        (("physics", "nu"), "inf"),
+        (("physics", "V0"), "nan"),
     ])
     def test_owner_rules_raise_config_error(self, seckey, value):
         with pytest.raises(ConfigError):
@@ -187,6 +193,19 @@ class TestConfig:
     ])
     def test_mesh_checked_before_auto_dt(self, seckey, value):
         # tgv3d derives dt from the element size and p.
+        with pytest.raises(ConfigError):
+            RunConfig.resolve({("case", "name"): "tgv3d"}, {seckey: value})
+
+    @pytest.mark.parametrize("seckey,value", [
+        (("scheme", "t_end"), "nan"),
+        (("scheme", "t_end"), "inf"),
+        (("scheme", "t_end"), "0"),
+        (("scheme", "t_end"), "-1"),
+        (("physics", "V0"), "nan"),
+        (("physics", "V0"), "inf"),
+    ])
+    def test_auto_dt_inputs_raise_config_error(self, seckey, value):
+        # tgv3d derives dt from V0 and snaps it to divide t_end.
         with pytest.raises(ConfigError):
             RunConfig.resolve({("case", "name"): "tgv3d"}, {seckey: value})
 
@@ -455,7 +474,10 @@ class TestCli:
 
     @pytest.mark.parametrize("override", ["scheme.cg_tol=2",
                                           "scheme.diffusion_theta=3",
-                                          "mesh.n=0", "mesh.n=8,0"])
+                                          "mesh.n=0", "mesh.n=8,0",
+                                          "scheme.t_end=nan",
+                                          "scheme.t_end=-1",
+                                          "physics.V0=nan"])
     def test_run_rejects_what_check_config_rejects(self, tmp_path, capsys,
                                                     override):
         path = tmp_path / "c.ini"

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from lpsflow.mesh import build_structured_mesh, periodic_tags
-from lpsflow.operators import GlobalOperators, VectorField
-from lpsflow.stabilization import StabilizationConfig
+from lpsflow.operators import GlobalOperators, ScalarField, VectorField
+from lpsflow.stabilization import StabilizationConfig, lps_term
 from lpsflow.stepper import PhysicalParams, Stepper, TimeScheme
 
 from oracles import DenseOracle
@@ -63,6 +63,16 @@ def test_predict(case, mode):
                  stabilization=stab, convective_form="skew")
     want = dense.predict(u.data, 1e-3, "skew", mode)
     assert np.max(np.abs(st.predict(u).data - want)) < 1e-12
+
+
+def test_lps_term(case, rng):
+    ops, dense = case
+    mesh = ops.mesh
+    phi = rng.standard_normal(mesh.n_dofs)
+    nu = rng.uniform(0.1, 1.0, mesh.n_elems)
+    got = lps_term(ops, ScalarField(mesh, phi.copy()), nu, 0.7).values
+    want = dense.lps(phi, nu, 0.7)
+    assert np.allclose(got, want, atol=1e-12 * max(np.max(np.abs(want)), 1))
 
 
 def test_weak_div_flux_with_elem_scale(case, rng):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpsflow.mesh import build_structured_mesh, periodic_tags, wall_tags
+from lpsflow.mesh import (
+    build_structured_mesh,
+    face_names,
+    periodic_tags,
+    wall_tags,
+)
 from lpsflow.operators import GlobalOperators, ScalarField, VectorField
 from lpsflow.stabilization import (
     StabilizationConfig,
@@ -57,6 +64,23 @@ class TestUpwindViscosity:
         nu = upwind_viscosity(ops, u)
         h = mesh.h_elem[0]
         assert np.allclose(nu, h * 5.0 / 2.0, atol=1e-14)
+
+    @pytest.mark.parametrize("dim,elems,p,walls", [
+        (1, (3,), 3, "x"), (1, (1,), 4, ""), (2, (3, 1), 2, ""),
+        (2, (2, 3), 1, "y"), (3, (2, 1, 3), 4, "z"), (3, (3, 2, 2), 2, "xy"),
+    ])
+    def test_equals_maximum_over_element_nodes(self, dim, elems, p, walls,
+                                               rng):
+        tags = periodic_tags(dim)
+        for axis in walls:
+            tags[f"{axis}_min"] = tags[f"{axis}_max"] = "wall"
+        mesh = build_structured_mesh(dim, [(0.0, 1.0 + k) for k in range(dim)],
+                                     elems, p, "gll", tags)
+        u = VectorField(mesh, rng.standard_normal((dim, mesh.n_dofs)))
+        speed2 = np.sum(u.data**2, axis=0)
+        want = (mesh.h_elem / p) * np.sqrt(
+            np.max(speed2[mesh.elem_to_dofs], axis=1)) / 2.0
+        assert np.array_equal(upwind_viscosity(GlobalOperators(mesh), u), want)
 
 
 class TestLowOrderTerm:
@@ -140,14 +164,57 @@ class TestLpsTerm:
         assert np.allclose(half, 0.5 * full, atol=1e-14)
 
     def test_against_dense_oracle(self, rng):
-        mesh = periodic_mesh(2, 3, 2)
+        # Collocated meshes, which take the face form: 2D periodic P2, 1D
+        # walled P3, a one-element periodic axis, mixed wall, periodic and
+        # outflow axes with a different h on each, and 3D periodic P4 (3D
+        # P8 is in test_element_kernels, on that module's shared oracle).
+        mixed = {"x_min": "periodic", "x_max": "periodic", "y_min": "wall",
+                 "y_max": "wall", "z_min": "outflow", "z_max": "outflow"}
+        meshes = [
+            periodic_mesh(2, 3, 2),
+            build_structured_mesh(1, [(0.0, 1.0)], (3,), 3, "gll",
+                                  wall_tags(1)),
+            build_structured_mesh(2, [(0.0, 1.0), (0.0, 2.0)], (1, 3), 3,
+                                  "gll", periodic_tags(2)),
+            build_structured_mesh(3, [(0.0, 1.0), (-1.0, 0.5), (0.25, 1.0)],
+                                  (3, 2, 2), 3, "gll", mixed),
+            periodic_mesh(3, 2, 4),
+        ]
+        for mesh in meshes:
+            ops = GlobalOperators(mesh)
+            dense = DenseOracle(mesh)
+            phi = rng.standard_normal(mesh.n_dofs)
+            nu = rng.uniform(0.1, 1.0, mesh.n_elems)
+            got = lps_term(ops, ScalarField(mesh, phi.copy()), nu, 0.7).values
+            want = dense.lps(phi, nu, 0.7)
+            assert np.allclose(got, want, atol=1e-12), mesh
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 3), p=st.integers(1, 4), data=st.data())
+    def test_face_form_equals_element_form(self, dim, p, data):
+        # The face form against the element kernels it replaces at a
+        # collocated rule: c_s quad(nu_e grad w . (g_h - grad phi)).
+        elems = data.draw(st.tuples(*[st.integers(1, 3)] * dim))
+        walled = data.draw(st.tuples(*[st.booleans()] * dim))
+        tags = {}
+        for k in range(dim):
+            periodic = not walled[k] and elems[k] * p >= 2
+            for name in face_names(dim)[2 * k:2 * k + 2]:
+                tags[name] = "periodic" if periodic else "wall"
+        extents = [(0.0, 1.0 + 0.5 * k) for k in range(dim)]
+        mesh = build_structured_mesh(dim, extents, elems, p, "gll", tags)
         ops = GlobalOperators(mesh)
-        dense = DenseOracle(mesh)
-        phi = rng.standard_normal(mesh.n_dofs)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        phi = ScalarField(mesh, rng.standard_normal(mesh.n_dofs))
         nu = rng.uniform(0.1, 1.0, mesh.n_elems)
-        got = lps_term(ops, ScalarField(mesh, phi.copy()), nu, 0.7).values
-        want = dense.lps(phi, nu, 0.7)
-        assert np.allclose(got, want, atol=1e-12)
+        got = lps_term(ops, phi, nu, 0.7).values
+        g = ops.project_gradient(phi).data
+        flux = [ops.interp_to_quad(g_k) - grad_q
+                for g_k, grad_q in zip(g, ops.grad_at_quad(phi.values))]
+        want = 0.7 * ops.weak_div_flux(flux, elem_scale=nu).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(
+            np.max(np.abs(want)), 1.0)
+        assert phi.values @ got <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
     @pytest.mark.parametrize("dim,elems,p,spacing,over,walls", [
         (2, (3, 2), 3, "equispaced", False, ("x", "y")),
@@ -237,6 +304,38 @@ class TestMomentumStabilization:
         dense = DenseOracle(mesh)
         want = dense.momentum_stabilization(u.data, "lps", 1.0)
         assert np.allclose(s.data, want, atol=1e-12)
+
+    def test_3d_matches_dense_oracle(self, rng):
+        # Walls on y and outflow on z, a different h on every axis.
+        tags = periodic_tags(3)
+        tags.update(y_min="wall", y_max="wall", z_min="outflow",
+                    z_max="outflow")
+        mesh = build_structured_mesh(3, [(0.0, 1.0), (-1.0, 0.5),
+                                         (0.25, 1.0)], (2, 3, 2), 2, "gll",
+                                     tags)
+        ops = GlobalOperators(mesh)
+        u = VectorField(mesh, rng.standard_normal((3, mesh.n_dofs)))
+        s = momentum_stabilization(ops, u, StabilizationConfig("lps", 0.6))
+        want = DenseOracle(mesh).momentum_stabilization(u.data, "lps", 0.6)
+        assert np.allclose(s.data, want, atol=1e-12)
+
+    @pytest.mark.parametrize("dim,n,p", [(2, 6, 1), (3, 2, 4)])
+    def test_collocated_lps_runs_no_element_kernel(self, dim, n, p,
+                                                   monkeypatch):
+        # At a collocated rule LPS is the face form on the DoF grid: no
+        # gather, no scatter and no projected gradient.
+        def refuse(*args, **kwargs):
+            raise AssertionError("element kernel called")
+
+        for name in ("_gather", "_scatter", "project_gradient"):
+            monkeypatch.setattr(GlobalOperators, name, refuse)
+        mesh = periodic_mesh(dim, n, p)
+        ops = GlobalOperators(mesh)
+        x = mesh.node_coords
+        u = VectorField(mesh, np.stack([np.sin(x[:, (k + 1) % dim])
+                                        for k in range(dim)]))
+        s = momentum_stabilization(ops, u, StabilizationConfig("lps", 1.0))
+        assert np.sum(u.data * s.data) < 0.0
 
     def test_shear_layer_support_near_layers(self):
         from lpsflow.cases import init_shear_layer

@@ -92,6 +92,27 @@ class TestConjugateGradient:
         with pytest.raises(LinearSolveError, match="breakdown"):
             conjugate_gradient(lambda v: -v, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_preconditioner_call_per_iteration(self, exact, rng):
+        # A converged residual is not preconditioned: with the exact inverse
+        # CG converges in one iteration after one call; with Jacobi it
+        # takes several, each with one call.
+        n = 30
+        m = rng.standard_normal((n, n))
+        a = m @ m.T + n * np.diag(rng.uniform(1.0, 10.0, n))
+        b = rng.standard_normal(n)
+        calls = []
+
+        def precond(r):
+            calls.append(1)
+            return np.linalg.solve(a, r) if exact else r / np.diag(a)
+
+        x, iters, res = conjugate_gradient(lambda v: a @ v, b, tol=1e-10,
+                                           precond=precond)
+        assert res <= 1e-10
+        assert (iters == 1) if exact else (iters > 1)
+        assert len(calls) == iters
+
 
 class TestSolvePoisson:
     def test_manufactured_periodic_1d(self):
@@ -787,3 +808,8 @@ def test_scheme_validation():
         PhysicalParams(nu=-1.0)
     with pytest.raises(ValueError):
         PhysicalParams(nu=np.nan)
+    with pytest.raises(ValueError):
+        PhysicalParams(nu=np.inf)
+    for t_end in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="t_end"):
+            TimeScheme(dt=0.1, t_end=t_end)
