@@ -111,8 +111,9 @@ def _double_curl(ops: GlobalOperators, u: VectorField) -> VectorField:
     omega = ops.curl(u)
     if ops.mesh.dim == 2:
         # The plane curl of a scalar is its rotated gradient (g_y, -g_x).
-        g = ops.project_gradient(omega.component(0)).data
-        return VectorField(ops.mesh, np.stack([g[1], -g[0]]))
+        w = omega.data[0]
+        return VectorField(ops.mesh, np.stack([ops.projected_partial(w, 1),
+                                               -ops.projected_partial(w, 0)]))
     return ops.curl(omega)
 
 
@@ -167,7 +168,7 @@ def outflow_pressure_dirichlet(ops: GlobalOperators, bdata: BoundaryData,
     # A face normal to axis a has n = +-e_a, so u_n = n_a u_a and
     # n.((grad u + grad u^T) n) = 2 du_a/dx_a: one partial per outflow axis.
     dudx = {} if nu == 0.0 else {
-        a: ops._weak_partial(u.data[a], a) * ops._inv_lumped
+        a: ops.projected_partial(u.data[a], a)
         for a in {f.axis for f in bdata.outflow_faces}}
     for f in bdata.outflow_faces:
         ids, a = f.dof_ids, f.axis

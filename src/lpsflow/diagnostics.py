@@ -63,7 +63,7 @@ def enstrophy_dissipation(ops: GlobalOperators, u: VectorField, nu: float):
 
 def divergence_norm(ops: GlobalOperators, u: VectorField) -> float:
     """L2 norm of the lumped-mass projection of div u."""
-    d = ops.weak_divergence(u).values * ops._inv_lumped
+    d = ops.project_divergence(u).values
     q = ops.interp_to_quad(d)
     return float(np.sqrt(ops.integrate(q * q)))
 

@@ -8,14 +8,23 @@ Laplacian and curl and the lumped mass contract them along the axes of the
 preconditioner and the wall surface integral use the same K1 and M1, so
 the Laplacian applied is the one inverted. No global matrix is stored.
 
-The projection stabilization at a collocated rule is a penalty on the
-jumps of the normal derivative across element faces, so it too is built
-from 1D matrices per axis (``face_jumps``). What else varies per element
-or per quadrature point (convection, the low-order stabilization, the
-viscous operator, integrals at the quadrature points) is an element loop
-in disguise: gather element-local nodal values with fancy indexing,
-differentiate them, weight them at the quadrature points and scatter-add
-back with ``np.bincount``. The derivative d/dx_k and its
+At a collocated rule (GLL, or equispaced p <= 2) the quadrature points
+are the nodes and M1 is diagonal, so the lumped-mass projection of the
+weak x-derivative is the projected derivative M1^-1 G1 contracted along
+x alone (``_projected_derivs``): one 1D matrix per axis. It gives
+``project_gradient``, the curl and, times the lumped mass, the weak
+gradient and divergence. Convection there is evaluated on the DoF grid
+from the same projected derivatives, since the lumped scatter of W f is
+M_L f at the nodes. The projection stabilization at a collocated rule is a
+penalty on the jumps of the normal derivative across element faces, so it
+too is built from 1D matrices per axis (``face_jumps``).
+
+What else varies per element or per quadrature point (the low-order
+stabilization, the viscous operator, integrals at the quadrature points,
+and off collocation convection and LPS) is an element loop in disguise:
+gather element-local nodal values with fancy indexing, differentiate them,
+weight them at the quadrature points and scatter-add back with
+``np.bincount``. The derivative d/dx_k and its
 transpose follow from the basis alone. With collocated GLL quadrature and
 p >= 4 they contract the 1D matrix D (2/h_k) along one axis of the
 (E, m, ..., m) element array (sum factorization); otherwise they multiply
@@ -106,6 +115,37 @@ def _check_same_mesh(mesh, field):
         raise FieldError("field does not live on this operator set's mesh")
 
 
+def _convection(form, fields, at_points, deriv, assemble, out):
+    """Fill ``out`` (dim, n_dofs) with the convective residual in ``form``
+    from one kernel set: ``fields`` per velocity component, ``at_points``
+    their values at the evaluation points, ``deriv(f, k)`` d f/dx_k there
+    and ``assemble`` the residual of values given there."""
+    dim = len(fields)
+    if form is ConvectiveForm.CONSERVATIVE:
+        for m in range(dim):
+            div_flux = deriv(fields[0] * fields[m], 0)
+            for k in range(1, dim):
+                div_flux += deriv(fields[k] * fields[m], k)
+            out[m] = assemble(div_flux)
+        return out
+
+    uq = [at_points(f) for f in fields]
+    grads = [[deriv(fields[m], k) for k in range(dim)]
+             for m in range(dim)]  # grads[m][k] = d u_m / d x_k
+    if form is ConvectiveForm.SKEW_SYMMETRIC:
+        div_q = grads[0][0]
+        for k in range(1, dim):
+            div_q = div_q + grads[k][k]
+    for m in range(dim):
+        adv = uq[0] * grads[m][0]
+        for k in range(1, dim):
+            adv += uq[k] * grads[m][k]
+        if form is ConvectiveForm.SKEW_SYMMETRIC:
+            adv += 0.5 * uq[m] * div_q
+        out[m] = assemble(adv)
+    return out
+
+
 def _diagonalized_solve(x, s_axes, inv, first_axis=0):
     """S (inv * S^T x), each axis's S contracted along consecutive array
     axes of x starting at ``first_axis``."""
@@ -161,9 +201,10 @@ class GlobalOperators:
         # Flat quadrature weights (incl. |J|).
         self._wq = reduce(np.kron, [b.quad_weights] * dim) * (
             mesh.elem_volume / 2.0**dim)
-        # Below p = 4 dense element blocks win where it costs most: at 10^3
-        # GLL P3 the single-axis viscous operator is 1.27x slower per apply,
-        # and CG applies it several times a step (convection: 0.8x).
+        # Below p = 4 dense element blocks win for the viscous operator, the
+        # one element kernel a collocated step still runs: at 10^3 GLL P3
+        # the single-axis form is 1.27x slower per apply, and CG applies it
+        # several times a step.
         self._single_axis = b.collocated and b.order >= 4
         self._elem_shape = ((mesh.n_elems,) + (b.n_quad,) * dim
                             if self._single_axis else (mesh.n_elems, -1))
@@ -236,9 +277,23 @@ class GlobalOperators:
                 for j in reversed(range(self.mesh.dim))]
         return apply_kron(mats, values.reshape(self._grid)).ravel()
 
-    def _weak_partial(self, values, k):
-        """quad(l_i d(values)/dx_k) for every DoF i."""
+    def _partial(self, values, k):
+        """d/dx_k of flat nodal values in the cheaper of two forms: at a
+        collocated rule the nodal projected derivative (``_projected_derivs``
+        contracted along axis k of the DoF grid), otherwise the weak partial
+        quad(l_i d(values)/dx_k). ``_weak`` and ``_nodal`` take either form
+        to the weak residual or to its lumped-mass projection."""
+        if self.basis.collocated:
+            return apply_along_axis(self._projected_derivs[k],
+                                    values.reshape(self._grid),
+                                    self.mesh.dim - 1 - k).ravel()
         return self._kron_term(values, k, self.axis_matrices[k][2])
+
+    def _weak(self, partials):
+        return partials * self.lumped_mass if self.basis.collocated else partials
+
+    def _nodal(self, partials):
+        return partials if self.basis.collocated else partials * self._inv_lumped
 
     # -- assembly --------------------------------------------------------------
 
@@ -295,20 +350,35 @@ class GlobalOperators:
     def weak_divergence(self, u: VectorField) -> ScalarField:
         """Assembled residual of the divergence: entry i is quad(l_i div u)."""
         _check_same_mesh(self.mesh, u)
-        return ScalarField(self.mesh, sum(self._weak_partial(u.data[k], k)
-                                          for k in range(self.mesh.dim)))
+        return ScalarField(self.mesh, self._weak(self._divergence(u.data)))
+
+    def project_divergence(self, u: VectorField) -> ScalarField:
+        """Continuous (nodal) divergence: lumped-mass inverse of
+        weak_divergence."""
+        _check_same_mesh(self.mesh, u)
+        return ScalarField(self.mesh, self._nodal(self._divergence(u.data)))
+
+    def _divergence(self, data):
+        return sum(self._partial(data[k], k) for k in range(self.mesh.dim))
 
     def weak_gradient(self, p: ScalarField) -> VectorField:
         """Assembled residual of the gradient, one component per axis."""
         _check_same_mesh(self.mesh, p)
         return VectorField(self.mesh, np.stack(
-            [self._weak_partial(p.values, k) for k in range(self.mesh.dim)]))
+            [self._weak(self._partial(p.values, k))
+             for k in range(self.mesh.dim)]))
+
+    def projected_partial(self, values, k):
+        """Nodal d/dx_k of flat nodal values: the lumped-mass inverse of the
+        weak partial quad(l_i d(values)/dx_k)."""
+        return self._nodal(self._partial(values, k))
 
     def project_gradient(self, phi: ScalarField) -> VectorField:
         """Continuous (nodal) gradient: lumped-mass inverse of weak_gradient."""
-        g = self.weak_gradient(phi)
-        g.data *= self._inv_lumped
-        return g
+        _check_same_mesh(self.mesh, phi)
+        return VectorField(self.mesh, np.stack(
+            [self.projected_partial(phi.values, k)
+             for k in range(self.mesh.dim)]))
 
     def weak_laplacian(self, phi: ScalarField) -> ScalarField:
         """Stiffness action quad(grad w . grad phi), SPD sign convention:
@@ -336,35 +406,25 @@ class GlobalOperators:
         multiplies pointwise at the quadrature points, and the
         skew-symmetric form is the advective one plus (div u) u / 2, with
         the divergence taken from the exact interpolant gradient.
+
+        At a collocated rule the quadrature points are the nodes and the
+        scatter of W f is M_L f at the nodes, so every form is evaluated
+        on the DoF grid with the projected derivative and multiplied by the
+        lumped mass once. Otherwise element kernels evaluate it at the
+        quadrature points.
         """
         _check_same_mesh(self.mesh, u)
         form = ConvectiveForm.coerce(form)
-        dim = self.mesh.dim
-        locs = [self._gather(u.data[k]) for k in range(dim)]
-
-        out = np.empty((dim, self.mesh.n_dofs))
-        if form is ConvectiveForm.CONSERVATIVE:
-            for m in range(dim):
-                div_flux = self._deriv(locs[0] * locs[m], 0)
-                for k in range(1, dim):
-                    div_flux += self._deriv(locs[k] * locs[m], k)
-                out[m] = self._scatter(self._from_quad_t(div_flux * self._wq))
-            return VectorField(self.mesh, out)
-
-        uq = [self._to_quad(loc) for loc in locs]
-        grads = [[self._deriv(locs[m], k) for k in range(dim)]
-                 for m in range(dim)]  # grads[m][k] = d u_m / d x_k
-        if form is ConvectiveForm.SKEW_SYMMETRIC:
-            div_q = grads[0][0]
-            for k in range(1, dim):
-                div_q = div_q + grads[k][k]
-        for m in range(dim):
-            adv = uq[0] * grads[m][0]
-            for k in range(1, dim):
-                adv += uq[k] * grads[m][k]
-            if form is ConvectiveForm.SKEW_SYMMETRIC:
-                adv += 0.5 * uq[m] * div_q
-            out[m] = self._scatter(self._from_quad_t(adv * self._wq))
+        out = np.empty((self.mesh.dim, self.mesh.n_dofs))
+        if self.basis.collocated:
+            _convection(form, u.data, lambda v: v, self._partial,
+                        lambda f: f, out)
+            out *= self.lumped_mass
+        else:
+            _convection(form, [self._gather(v) for v in u.data],
+                        self._to_quad, self._deriv,
+                        lambda f: self._scatter(self._from_quad_t(f * self._wq)),
+                        out)
         return VectorField(self.mesh, out)
 
     def curl(self, u: VectorField) -> VectorField:
@@ -381,8 +441,8 @@ class GlobalOperators:
         pairs = (((1, 0, 0, 1),) if dim == 2 else
                  ((2, 1, 1, 2), (0, 2, 2, 0), (1, 0, 0, 1)))
         return VectorField(self.mesh, np.stack([
-            (self._weak_partial(u.data[cp], ap)
-             - self._weak_partial(u.data[cm], am)) * self._inv_lumped
+            self._nodal(self._partial(u.data[cp], ap)
+                        - self._partial(u.data[cm], am))
             for cp, ap, cm, am in pairs]))
 
     def symmetric_gradient_stiffness(self, data, nu):
@@ -444,6 +504,16 @@ class GlobalOperators:
             np.add.at(g1, (rows, cols), B.T @ (w[:, None] * Dq))
             out.append((k1, m1, g1))
         return out
+
+    @cached_property
+    def _projected_derivs(self):
+        """Per spatial axis k, the projected derivative M1^-1 G1 (n_k x n_k)
+        of a collocated rule, where M1 is diagonal: nodal values along axis
+        k to the nodal d/dx_k of their lumped-mass projection, the g_h of
+        the stabilization. The weak x-derivative is then M_L times it
+        contracted along x."""
+        return [g1 / np.diagonal(m1)[:, None]
+                for _, m1, g1 in self.axis_matrices]
 
     @cached_property
     def face_jumps(self):

@@ -1,9 +1,11 @@
 """Independent dense-matrix assembly used to cross-check the solver kernels.
 
 Everything here is deliberately naive: Lagrange polynomials built from their
-roots with numpy's polynomial module, explicit Python loops over elements,
-quadrature points and basis indices, and dense global matrices. No code is
-shared with the tensor-product fast path beyond the node/weight tables.
+roots with numpy's polynomial module, element tables as products of the 1D
+tables over every (quadrature point, local node) multi-index pair, explicit
+Python loops over elements and quadrature points, and dense global
+matrices. No code is shared with the tensor-product fast path beyond the
+node/weight tables.
 
 ``normal_traction_pressure`` is the one exception: a reference outflow
 pressure built on the solver's own nodal gradients, against which the
@@ -48,30 +50,30 @@ class DenseOracle:
         nloc = (p + 1) ** dim
         nq = len(xq) ** dim
         self.nloc, self.nq = nloc, nq
-        self.phi = np.zeros((nq, nloc))
-        self.dphi = np.zeros((dim, nq, nloc))
-        self.wq = np.zeros(nq)
         self.jac = 1.0
         for h in mesh.h_axes:
             self.jac *= h / 2.0
 
         # Local multi-indices run (z, y, x) with x fastest, matching the mesh.
-        for qi, qmulti in enumerate(itertools.product(range(len(xq)), repeat=dim)):
-            w = 1.0
-            for qk in qmulti:
-                w *= wq[qk]
-            self.wq[qi] = w * self.jac
-            for li, lmulti in enumerate(itertools.product(range(p + 1), repeat=dim)):
-                val = 1.0
-                for qk, lk in zip(qmulti, lmulti):
-                    val *= phi1[qk, lk]
-                self.phi[qi, li] = val
-                for k in range(dim):  # spatial axis k = tensor slot dim-1-k
-                    slot = dim - 1 - k
-                    dval = 2.0 / mesh.h_axes[k]
-                    for s, (qk, lk) in enumerate(zip(qmulti, lmulti)):
-                        dval *= dphi1[qk, lk] if s == slot else phi1[qk, lk]
-                    self.dphi[k, qi, li] = dval
+        # Per tensor slot s, the 1D tables at every (quadrature point, local
+        # node) pair; phi and dphi are products of them over the slots.
+        qmulti = np.array(list(itertools.product(range(len(xq)), repeat=dim)))
+        lmulti = np.array(list(itertools.product(range(p + 1), repeat=dim)))
+        qs, ls = qmulti.T[:, :, None], lmulti.T[:, None, :]
+        val1, dval1 = phi1[qs, ls], dphi1[qs, ls]  # (dim, nq, nloc)
+        w = np.ones(nq)
+        for s in range(dim):
+            w *= wq[qmulti[:, s]]
+        self.wq = w * self.jac
+        self.phi = np.ones((nq, nloc))
+        for s in range(dim):
+            self.phi *= val1[s]
+        self.dphi = np.zeros((dim, nq, nloc))
+        for k in range(dim):  # spatial axis k = tensor slot dim-1-k
+            slot = dim - 1 - k
+            self.dphi[k] = 2.0 / mesh.h_axes[k]
+            for s in range(dim):
+                self.dphi[k] *= dval1[s] if s == slot else val1[s]
 
         n = mesh.n_dofs
         self.mass = np.zeros((n, n))
@@ -95,11 +97,9 @@ class DenseOracle:
     def _assemble_pairwise(self, ka, kb):
         n = self.mesh.n_dofs
         out = np.zeros((n, n))
+        block = np.einsum("q,qi,qj->ij", self.wq, self.dphi[ka], self.dphi[kb])
         for e in range(self.mesh.n_elems):
             dofs = self.mesh.elem_to_dofs[e]
-            block = np.einsum(
-                "q,qi,qj->ij", self.wq, self.dphi[ka], self.dphi[kb]
-            )
             np.add.at(out, np.ix_(dofs, dofs), block)
         return out
 

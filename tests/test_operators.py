@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpsflow.mesh import build_structured_mesh, wall_tags
+from lpsflow.mesh import build_structured_mesh, face_names, wall_tags
 from lpsflow.operators import (
     ConvectiveForm,
     FieldError,
@@ -295,6 +297,74 @@ class TestConvective:
         got = ops.convective_term(VectorField(mesh, udata.copy()), form).data
         want = dense.convective(udata, form)
         assert np.allclose(got, want, atol=1e-12 * max(np.max(np.abs(want)), 1))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 3), p=st.integers(1, 8), data=st.data())
+    def test_dof_grid_form_equals_element_form(self, dim, p, data):
+        # At a collocated rule the DoF-grid convection and projected partial
+        # against the element kernels they replace: gather, differentiate
+        # at the quadrature points, weight by W and scatter.
+        elems = data.draw(st.tuples(*[st.integers(1, 3)] * dim))
+        lengths = data.draw(st.tuples(*[st.floats(0.5, 2.0)] * dim))
+        tags = {}
+        for k in range(dim):
+            kind = data.draw(st.sampled_from(["periodic", "wall", "outflow"]))
+            for name in face_names(dim)[2 * k:2 * k + 2]:
+                tags[name] = (kind if kind != "periodic" or elems[k] * p >= 2
+                              else "wall")
+            if kind == "outflow":  # a wall on one end, outflow on the other
+                tags[face_names(dim)[2 * k]] = data.draw(
+                    st.sampled_from(["wall", "outflow"]))
+        mesh = build_structured_mesh(dim, [(0.0, h) for h in lengths],
+                                     elems, p, "gll", tags)
+        ops = GlobalOperators(mesh)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        udata = rng.standard_normal((dim, mesh.n_dofs))
+        locs = [ops._gather(v) for v in udata]
+
+        def element_partial(v, k):
+            weak = ops._scatter(ops._deriv(ops._gather(v), k) * ops._wq)
+            return weak / ops.lumped_mass
+
+        for k in range(dim):
+            want = element_partial(udata[0], k)
+            got = ops.projected_partial(udata[0], k)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(
+                np.max(np.abs(want)), 1.0)
+        for form in ConvectiveForm:
+            want = np.empty_like(udata)
+            for m in range(dim):
+                if form is ConvectiveForm.CONSERVATIVE:
+                    f = sum(ops._deriv(locs[k] * locs[m], k)
+                            for k in range(dim))
+                else:
+                    f = sum(locs[k] * ops._deriv(locs[m], k)
+                            for k in range(dim))
+                if form is ConvectiveForm.SKEW_SYMMETRIC:
+                    f = f + 0.5 * locs[m] * sum(ops._deriv(locs[k], k)
+                                                for k in range(dim))
+                want[m] = ops._scatter(f * ops._wq)
+            got = ops.convective_term(VectorField(mesh, udata), form).data
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(
+                np.max(np.abs(want)), 1.0), form
+
+    @pytest.mark.parametrize("dim,n,p", [(2, 6, 1), (3, 2, 4)])
+    def test_collocated_convection_runs_no_element_kernel(self, dim, n, p,
+                                                          monkeypatch):
+        # At a collocated rule every form is evaluated on the DoF grid: no
+        # gather, no scatter and no element derivative.
+        def refuse(*args, **kwargs):
+            raise AssertionError("element kernel called")
+
+        for name in ("_gather", "_scatter", "_deriv"):
+            monkeypatch.setattr(GlobalOperators, name, refuse)
+        mesh = periodic_mesh(dim, n, p)
+        ops = GlobalOperators(mesh)
+        x = mesh.node_coords
+        u = VectorField(mesh, np.stack([np.sin(x[:, (k + 1) % dim])
+                                        for k in range(dim)]))
+        for form in ConvectiveForm:
+            assert np.all(np.isfinite(ops.convective_term(u, form).data))
 
     def test_unknown_form_rejected(self):
         mesh = periodic_mesh(2, 3, 1)
