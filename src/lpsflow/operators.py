@@ -17,24 +17,31 @@ gradient and divergence. Convection there is evaluated on the DoF grid
 from the same projected derivatives, since the lumped scatter of W f is
 M_L f at the nodes. The projection stabilization at a collocated rule is a
 penalty on the jumps of the normal derivative across element faces, so it
-too is built from 1D matrices per axis (``face_jumps``).
+too is built from 1D matrices per axis (``face_jumps``). In 3D the viscous
+operator there is a Kronecker sum of M1^-1 K1, M1^-1 G1^T and the
+projected derivatives (``_viscous_axes``), so a collocated 3D step runs
+no element kernel.
 
 What else varies per element or per quadrature point (the low-order
-stabilization, the viscous operator, integrals at the quadrature points,
-and off collocation convection and LPS) is an element loop in disguise:
-gather element-local nodal values with fancy indexing, differentiate them,
-weight them at the quadrature points and scatter-add back with
-``np.bincount``. The derivative d/dx_k and its
-transpose follow from the basis alone. With collocated GLL quadrature and
-p >= 4 they contract the 1D matrix D (2/h_k) along one axis of the
-(E, m, ..., m) element array (sum factorization); otherwise they multiply
-a dense (p+1)^d x (p+1)^d element block, which is faster at low order.
+stabilization, the viscous operator in 1D and 2D, integrals at the
+quadrature points, and off collocation convection, LPS and the viscous
+operator) is an element loop in disguise: gather element-local nodal
+values with fancy indexing, differentiate them, weight them at the
+quadrature points and scatter-add back with ``np.bincount``. The
+derivative d/dx_k and its transpose follow from the basis alone. For the
+low-order stabilization at collocated GLL with p >= 4 they contract the
+1D matrix D (2/h_k) along one axis of the (E, m, ..., m) element array
+(sum factorization); otherwise, and always for the viscous operator, they
+multiply a dense (p+1)^d x (p+1)^d element block.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
 
 Building an operator set raises glibc's mmap and trim thresholds so that a
 warm step reuses freed heap memory instead of page-faulting it back in.
+After a first step it also writes one step-sized array's worth of heap
+above that step's peak (``reserve_heap``), so that a later step whose
+arrays land in another order grows into resident pages.
 """
 
 import ctypes
@@ -178,6 +185,43 @@ def _hold_freed_arrays(nbytes):
         _held_bytes = mmap_threshold
 
 
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+_reserved_arena = 0  # heap size after the last reserve, process-wide
+
+
+def _reserve_heap(nbytes):
+    """Grow glibc's heap by nbytes of written pages and free them again:
+    with the trim threshold held they stay resident in the top chunk.
+    After a first step, a warm step whose freed arrays fragment the heap
+    differently (which depends on the allocation history, even on the
+    interpreter's own allocator) grows into these pages instead of
+    faulting new ones in. Skipped while the heap has not grown since the
+    last reserve, so operator sets built one after another do not stack
+    reserves. No-op unless ``_hold_freed_arrays`` took effect, since the
+    blocks must stay below the mmap threshold."""
+    global _reserved_arena
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None or not _held_bytes:
+        return
+    mallinfo2.restype = _MallInfo2
+    start = mallinfo2()
+    if start.arena <= _reserved_arena:
+        return
+    chunk = min(nbytes, _held_bytes // 2)
+    blocks = []
+    # Each block either fills free heap or grows it, so this bound holds.
+    for _ in range((start.fordblks + nbytes) // chunk + 2):
+        if mallinfo2().arena - start.arena >= nbytes:
+            break
+        blocks.append(np.ones(chunk // 8))
+    _reserved_arena = mallinfo2().arena
+
+
 class GlobalOperators:
     """Matrix-free actions of mass, gradient, divergence, Laplacian, ...
 
@@ -201,10 +245,9 @@ class GlobalOperators:
         # Flat quadrature weights (incl. |J|).
         self._wq = reduce(np.kron, [b.quad_weights] * dim) * (
             mesh.elem_volume / 2.0**dim)
-        # Below p = 4 dense element blocks win for the viscous operator, the
-        # one element kernel a collocated step still runs: at 10^3 GLL P3
-        # the single-axis form is 1.27x slower per apply, and CG applies it
-        # several times a step.
+        # Element derivatives of grad_at_quad and weak_div_flux, the only
+        # element kernels a collocated step may run (the low-order
+        # stabilization): single-axis at GLL p >= 4, dense blocks below.
         self._single_axis = b.collocated and b.order >= 4
         self._elem_shape = ((mesh.n_elems,) + (b.n_quad,) * dim
                             if self._single_axis else (mesh.n_elems, -1))
@@ -212,9 +255,20 @@ class GlobalOperators:
         self.lumped_mass = self._assemble_lumped_mass()
         self._inv_lumped = 1.0 / self.lumped_mass
         self._eigenpairs = {}  # see _box_factors
+        self._diffusion_solver = (None, None)  # last c and its block solver
         # A step's largest array: element-wise or a stacked vector field.
-        _hold_freed_arrays(8 * max(mesh.n_elems * self._nqd,
-                                   dim * mesh.n_dofs))
+        self._step_bytes = 8 * max(mesh.n_elems * self._nqd,
+                                   dim * mesh.n_dofs)
+        self._heap_reserved = False
+        _hold_freed_arrays(self._step_bytes)
+
+    def reserve_heap(self):
+        """Once per operator set, after a first step has set the heap's
+        peak: write a step's largest array's worth of heap above it (see
+        ``_reserve_heap``). Costs that much resident memory."""
+        if not self._heap_reserved:
+            self._heap_reserved = True
+            _reserve_heap(self._step_bytes)
 
     # -- kernels ---------------------------------------------------------------
 
@@ -252,10 +306,16 @@ class GlobalOperators:
             lay = [np.asfortranarray] + [np.ascontiguousarray] * (dim - 1)
             return [(lay[k](d), lay[k](d.T), dim - k) for k, d in
                     enumerate(b.quad_diff_matrix * s for s in self._scale)]
-        dphi = [reduce(np.kron, [b.quad_diff_matrix if a == dim - 1 - k
+        return [(d, d.T, 1) for d in self._dense_derivs]
+
+    @cached_property
+    def _dense_derivs(self):
+        """Per axis k, the dense element block DPHI[k] (nqd, nloc) of
+        d/dx_k at the quadrature points."""
+        dim, b = self.mesh.dim, self.basis
+        return [reduce(np.kron, [b.quad_diff_matrix if a == dim - 1 - k
                                  else b.eval_matrix for a in range(dim)])
                 * self._scale[k] for k in range(dim)]
-        return [(d, d.T, 1) for d in dphi]
 
     @cached_property
     def _phi(self):
@@ -265,7 +325,7 @@ class GlobalOperators:
     @cached_property
     def _viscous_blocks(self):
         """Dense stiffness sum_k C^kk and blocks C^km = dphi_k^T W dphi_m."""
-        d = [mat for mat, _, _ in self._kernels]
+        d = self._dense_derivs
         wq, dim = self._wq[:, None], self.mesh.dim
         cross = [[d[k].T @ (wq * d[m]) for m in range(dim)] for k in range(dim)]
         return sum(d_k.T @ (wq * d_k) for d_k in d), cross
@@ -452,31 +512,52 @@ class GlobalOperators:
         coupling through the transposed gradient is kept, so this is the SPD
         operator behind the implicit diffusion solve.
         """
-        # Element kernels, not 1D Kronecker terms: on the long axis of a
-        # channel (129 DoFs) the dense 1D form costs ~3x more per apply, and
-        # the diffusion CG applies this operator several times per step.
+        # In 3D at a collocated rule a Kronecker sum on the DoF grid, 2-8x
+        # faster than element kernels; else dense element blocks, which in
+        # 2D win on the long axis of a walled channel (64x32 P2: 0.26
+        # against 0.35 ms per apply) and beat the single-axis form at p >= 4.
         dim = self.mesh.dim
+        if dim == 3 and self.basis.collocated:
+            return self._viscous_kron(data, nu)
+        stiff, cross = self._viscous_blocks
         locs = [self._gather(data[k]) for k in range(dim)]
         out = np.empty_like(data)
         for m in range(dim):
-            if self._single_axis:
-                # sum_k D_k^T W (d_k u_m + d_m u_k) term by term: as fast as
-                # holding all dim^2 gradients, with dim^2 - 1 fewer arrays.
-                acc = 0.0
-                for k in range(dim):
-                    s = self._deriv(locs[m], k)
-                    s += s if k == m else self._deriv(locs[k], m)
-                    s *= self._wq
-                    acc += self._deriv(s, k, transpose=True)
-            else:
-                stiff, cross = self._viscous_blocks
-                acc = locs[m] @ stiff
-                # Transposed-gradient coupling: sum_k C^{km} u_k; batched
-                # right-multiply needs its transpose C^{mk} = cross[m][k].
-                for k in range(dim):
-                    acc += locs[k] @ cross[m][k]
+            acc = locs[m] @ stiff
+            # Transposed-gradient coupling: sum_k C^{km} u_k; batched
+            # right-multiply needs its transpose C^{mk} = cross[m][k].
+            for k in range(dim):
+                acc += locs[k] @ cross[m][k]
             out[m] = nu * self._scatter(acc)
         return out
+
+    def _viscous_kron(self, data, nu):
+        """The viscous residual at a collocated rule as a Kronecker sum.
+
+        With M1 diagonal every term is M_L times 1D matrices over the lumped
+        mass, contracted along the (z, y, x) DoF grid: component m is
+        nu M_L (sum_k Lb_k u_m + Lb_m u_m + Db_m sum_{k != m} Eb_k u_k),
+        with Lb_k = M1^-1 K1 and Eb_k = M1^-1 G1^T (``_viscous_axes``) and
+        Db_m the projected derivative of axis m.
+        """
+        dim = self.mesh.dim
+        u = data.reshape((dim,) + self._grid)
+        out = None
+        for k, (lap, _) in enumerate(self._viscous_axes):
+            term = apply_along_axis(lap, u, dim - k)  # every component
+            term[k] *= 2.0  # Lb_k u_k, once more from the transpose
+            if out is None:
+                out = term
+            else:
+                out += term
+        edge = [apply_along_axis(e, u[k], dim - 1 - k)
+                for k, (_, e) in enumerate(self._viscous_axes)]
+        for m in range(dim):
+            rest = sum(edge[k] for k in range(dim) if k != m)
+            out[m] += apply_along_axis(self._projected_derivs[m], rest,
+                                       dim - 1 - m)
+        out *= nu * self.lumped_mass.reshape(self._grid)
+        return out.reshape(data.shape)
 
     # -- fast diagonalization ----------------------------------------------
 
@@ -514,6 +595,17 @@ class GlobalOperators:
         contracted along x."""
         return [g1 / np.diagonal(m1)[:, None]
                 for _, m1, g1 in self.axis_matrices]
+
+    @cached_property
+    def _viscous_axes(self):
+        """Per spatial axis k of a collocated rule, M1^-1 K1 and
+        M1^-1 G1^T: the axis-k Laplacian term and the derivative of the
+        test function along k, each over the diagonal M1."""
+        out = []
+        for k1, m1, g1 in self.axis_matrices:
+            diag = np.diagonal(m1)[:, None]
+            out.append((k1 / diag, g1.T / diag))
+        return out
 
     @cached_property
     def face_jumps(self):
@@ -637,6 +729,8 @@ class GlobalOperators:
         on the sub-grid off the walls, shape (dim, *free shape), to
         z = S (1 + c lam)^-1 S^T r, all components contracted together.
         """
+        if c == self._diffusion_solver[0]:
+            return self._diffusion_solver[1]
         s_axes, lams = self._box_factors(BoundaryTag.DIRICHLET_WALL)
         dim = self.mesh.dim
         lam_axes = np.ix_(*lams)  # array axis a holds spatial axis dim-1-a
@@ -647,6 +741,7 @@ class GlobalOperators:
         def solve(r):
             return _diagonalized_solve(r, s_axes, inv, first_axis=1)
 
+        self._diffusion_solver = (c, solve)
         return solve
 
     def solve_laplacian(self, values):

@@ -354,4 +354,5 @@ class Stepper:
             diffusion_iters=diff_iters,
             wall_seconds=time.perf_counter() - t0,
         )
+        self.ops.reserve_heap()  # once, after the first step
         return u_next, report

@@ -46,14 +46,14 @@ class TestDongSmoothing:
         assert abs(got - 0.11920292202211756) < 1e-12
 
     @given(st.floats(-1e3, 1e3))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_bounds_and_symmetry(self, un):
         s = dong_smoothing(un, CFG)
         assert 0.0 <= s <= 1.0
         assert abs(dong_smoothing(-un, CFG) - (1.0 - s)) < 1e-15
 
     @given(st.floats(-50, 50), st.floats(1e-3, 50))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_strictly_decreasing(self, un, gap):
         assert dong_smoothing(un + gap, CFG) < dong_smoothing(un, CFG) + 1e-15
 

@@ -1,10 +1,12 @@
-"""Dense-oracle checks of the element operators on the single-axis path.
+"""Dense-oracle checks of the operators at collocated GLL with p >= 4.
 
-At collocated GLL with p >= 4 the element derivative contracts the 1D
-matrix along one axis of the element array instead of multiplying a dense
-element block. Each mesh here takes that path, with a different element
-size on every axis and one axis of a single element, which holds its
-periodic DoF twice.
+There the element derivative of the low-order stabilization contracts the
+1D matrix along one axis of the element array instead of multiplying a
+dense element block; convection and LPS work on the DoF grid; and the
+viscous operator is a Kronecker sum on the DoF grid in 3D and multiplies
+dense element blocks in 2D. Each mesh here has a different element size
+on every axis and one axis of a single element, which holds its periodic
+DoF twice.
 """
 
 import numpy as np

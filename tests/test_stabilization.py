@@ -189,7 +189,7 @@ class TestLpsTerm:
             want = dense.lps(phi, nu, 0.7)
             assert np.allclose(got, want, atol=1e-12), mesh
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(dim=st.integers(1, 3), p=st.integers(1, 4), data=st.data())
     def test_face_form_equals_element_form(self, dim, p, data):
         # The face form against the element kernels it replaces at a
