@@ -39,7 +39,6 @@ from .stepper import (
     StepReport,
     Stepper,
     TimeScheme,
-    conjugate_gradient,
     solve_poisson,
 )
 

@@ -48,8 +48,6 @@ _SCHEMA = {
     ("scheme", "auto_dt_cfl"): (float, 0.3),
     ("scheme", "t_end"): (float, 1.0),
     ("scheme", "rk"): (str, "ssprk3"),
-    ("scheme", "cg_tol"): (float, 1e-8),
-    ("scheme", "cg_max_iters"): (int, 10000),
     ("scheme", "cfl_limit"): (float, 1.0),
     ("scheme", "diffusion_theta"): (float, 1.0),
     ("scheme", "convective_form"): (str, "skew"),

@@ -4,9 +4,10 @@ On a uniform box every constant-coefficient operator is a Kronecker sum of
 1D matrices. Each axis has a stiffness K1, a quadrature mass M1 and a
 derivative form G1 (``axis_matrices``). The weak gradient, divergence,
 Laplacian and curl and the lumped mass contract them along the axes of the
-(z, y, x) DoF grid. The direct Laplacian solve, the diffusion
-preconditioner and the wall surface integral use the same K1 and M1, so
-the Laplacian applied is the one inverted. No global matrix is stored.
+(z, y, x) DoF grid. The direct pressure and viscous solves and the wall
+surface integral use the same K1 and M1, so the Laplacian applied is the
+one inverted; the viscous step's mass is M1 (x) M1 (x) M1
+(``tensor_mass``). No global matrix is stored.
 
 At a collocated rule (GLL, or equispaced p <= 2) the quadrature points
 are the nodes and M1 is diagonal, so the lumped-mass projection of the
@@ -17,22 +18,19 @@ gradient and divergence. Convection there is evaluated on the DoF grid
 from the same projected derivatives, since the lumped scatter of W f is
 M_L f at the nodes. The projection stabilization at a collocated rule is a
 penalty on the jumps of the normal derivative across element faces, so it
-too is built from 1D matrices per axis (``face_jumps``). In 3D the viscous
-operator there is a Kronecker sum of M1^-1 K1, M1^-1 G1^T and the
-projected derivatives (``_viscous_axes``), so a collocated 3D step runs
-no element kernel.
+too is built from 1D matrices per axis (``face_jumps``), and a collocated
+step runs no element kernel but the low-order stabilization's.
 
 What else varies per element or per quadrature point (the low-order
-stabilization, the viscous operator in 1D and 2D, integrals at the
-quadrature points, and off collocation convection, LPS and the viscous
-operator) is an element loop in disguise: gather element-local nodal
-values with fancy indexing, differentiate them, weight them at the
+stabilization, integrals at the quadrature points, and off collocation
+convection and LPS) is an element loop in disguise: gather element-local
+nodal values with fancy indexing, differentiate them, weight them at the
 quadrature points and scatter-add back with ``np.bincount``. The
 derivative d/dx_k and its transpose follow from the basis alone. For the
 low-order stabilization at collocated GLL with p >= 4 they contract the
 1D matrix D (2/h_k) along one axis of the (E, m, ..., m) element array
-(sum factorization); otherwise, and always for the viscous operator, they
-multiply a dense (p+1)^d x (p+1)^d element block.
+(sum factorization); otherwise they multiply a dense (p+1)^d x (p+1)^d
+element block.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
@@ -255,7 +253,7 @@ class GlobalOperators:
         self.lumped_mass = self._assemble_lumped_mass()
         self._inv_lumped = 1.0 / self.lumped_mass
         self._eigenpairs = {}  # see _box_factors
-        self._diffusion_solver = (None, None)  # last c and its block solver
+        self._diffusion_solver = (None, None)  # last c and its solver
         # A step's largest array: element-wise or a stacked vector field.
         self._step_bytes = 8 * max(mesh.n_elems * self._nqd,
                                    dim * mesh.n_dofs)
@@ -306,29 +304,15 @@ class GlobalOperators:
             lay = [np.asfortranarray] + [np.ascontiguousarray] * (dim - 1)
             return [(lay[k](d), lay[k](d.T), dim - k) for k, d in
                     enumerate(b.quad_diff_matrix * s for s in self._scale)]
-        return [(d, d.T, 1) for d in self._dense_derivs]
-
-    @cached_property
-    def _dense_derivs(self):
-        """Per axis k, the dense element block DPHI[k] (nqd, nloc) of
-        d/dx_k at the quadrature points."""
-        dim, b = self.mesh.dim, self.basis
-        return [reduce(np.kron, [b.quad_diff_matrix if a == dim - 1 - k
-                                 else b.eval_matrix for a in range(dim)])
-                * self._scale[k] for k in range(dim)]
+        dense = [reduce(np.kron, [b.quad_diff_matrix if a == dim - 1 - k
+                                  else b.eval_matrix for a in range(dim)])
+                 * self._scale[k] for k in range(dim)]
+        return [(d, d.T, 1) for d in dense]
 
     @cached_property
     def _phi(self):
         """Evaluation block (nqd, nloc); used only when not collocated."""
         return reduce(np.kron, [self.basis.eval_matrix] * self.mesh.dim)
-
-    @cached_property
-    def _viscous_blocks(self):
-        """Dense stiffness sum_k C^kk and blocks C^km = dphi_k^T W dphi_m."""
-        d = self._dense_derivs
-        wq, dim = self._wq[:, None], self.mesh.dim
-        cross = [[d[k].T @ (wq * d[m]) for m in range(dim)] for k in range(dim)]
-        return sum(d_k.T @ (wq * d_k) for d_k in d), cross
 
     def _kron_term(self, values, k, mat):
         """Flat nodal values times ``mat`` (K1 or G1 of axis k) on axis k
@@ -449,6 +433,15 @@ class GlobalOperators:
             self._kron_term(phi.values, k, self.axis_matrices[k][0])
             for k in range(self.mesh.dim)))
 
+    def tensor_mass(self, data):
+        """M1 (x) M1 (x) M1 applied to stacked (ncomp, n_dofs) nodal values:
+        the lumped mass at a collocated rule, else the consistent mass."""
+        if self.basis.collocated:
+            return data * self.lumped_mass
+        masses = [self._axis_masses[k] for k in reversed(range(self.mesh.dim))]
+        return apply_kron(masses, data.reshape((len(data),) + self._grid),
+                          first_axis=1).reshape(data.shape)
+
     def weak_div_flux(self, flux_at_quad, elem_scale) -> ScalarField:
         """Assemble quad(grad w . F) from a flux F given at quadrature points,
         each element's contribution scaled by elem_scale[e]."""
@@ -505,60 +498,6 @@ class GlobalOperators:
                         - self._partial(u.data[cm], am))
             for cp, ap, cm, am in pairs]))
 
-    def symmetric_gradient_stiffness(self, data, nu):
-        """Assembled viscous residual quad(grad w : nu (grad u + grad u^T)).
-
-        ``data`` is the stacked (dim, ndofs) velocity array; the component
-        coupling through the transposed gradient is kept, so this is the SPD
-        operator behind the implicit diffusion solve.
-        """
-        # In 3D at a collocated rule a Kronecker sum on the DoF grid, 2-8x
-        # faster than element kernels; else dense element blocks, which in
-        # 2D win on the long axis of a walled channel (64x32 P2: 0.26
-        # against 0.35 ms per apply) and beat the single-axis form at p >= 4.
-        dim = self.mesh.dim
-        if dim == 3 and self.basis.collocated:
-            return self._viscous_kron(data, nu)
-        stiff, cross = self._viscous_blocks
-        locs = [self._gather(data[k]) for k in range(dim)]
-        out = np.empty_like(data)
-        for m in range(dim):
-            acc = locs[m] @ stiff
-            # Transposed-gradient coupling: sum_k C^{km} u_k; batched
-            # right-multiply needs its transpose C^{mk} = cross[m][k].
-            for k in range(dim):
-                acc += locs[k] @ cross[m][k]
-            out[m] = nu * self._scatter(acc)
-        return out
-
-    def _viscous_kron(self, data, nu):
-        """The viscous residual at a collocated rule as a Kronecker sum.
-
-        With M1 diagonal every term is M_L times 1D matrices over the lumped
-        mass, contracted along the (z, y, x) DoF grid: component m is
-        nu M_L (sum_k Lb_k u_m + Lb_m u_m + Db_m sum_{k != m} Eb_k u_k),
-        with Lb_k = M1^-1 K1 and Eb_k = M1^-1 G1^T (``_viscous_axes``) and
-        Db_m the projected derivative of axis m.
-        """
-        dim = self.mesh.dim
-        u = data.reshape((dim,) + self._grid)
-        out = None
-        for k, (lap, _) in enumerate(self._viscous_axes):
-            term = apply_along_axis(lap, u, dim - k)  # every component
-            term[k] *= 2.0  # Lb_k u_k, once more from the transpose
-            if out is None:
-                out = term
-            else:
-                out += term
-        edge = [apply_along_axis(e, u[k], dim - 1 - k)
-                for k, (_, e) in enumerate(self._viscous_axes)]
-        for m in range(dim):
-            rest = sum(edge[k] for k in range(dim) if k != m)
-            out[m] += apply_along_axis(self._projected_derivs[m], rest,
-                                       dim - 1 - m)
-        out *= nu * self.lumped_mass.reshape(self._grid)
-        return out.reshape(data.shape)
-
     # -- fast diagonalization ----------------------------------------------
 
     @cached_property
@@ -595,17 +534,6 @@ class GlobalOperators:
         contracted along x."""
         return [g1 / np.diagonal(m1)[:, None]
                 for _, m1, g1 in self.axis_matrices]
-
-    @cached_property
-    def _viscous_axes(self):
-        """Per spatial axis k of a collocated rule, M1^-1 K1 and
-        M1^-1 G1^T: the axis-k Laplacian term and the derivative of the
-        test function along k, each over the diagonal M1."""
-        out = []
-        for k1, m1, g1 in self.axis_matrices:
-            diag = np.diagonal(m1)[:, None]
-            out.append((k1 / diag, g1.T / diag))
-        return out
 
     @cached_property
     def face_jumps(self):
@@ -718,25 +646,19 @@ class GlobalOperators:
         return s_axes, 1.0 / lam_sum
 
     def diffusion_block_solver(self, c):
-        """Inverse of the per-component diagonal blocks of M + c S_sym.
+        """Inverse of M + c K for every velocity component at once.
 
-        S_sym is :meth:`symmetric_gradient_stiffness` with nu = 1; its block
-        for velocity component m is sum_k K^(k) + K^(m), where K^(k) is the
-        axis-k Kronecker term of the weak Laplacian, and the mass is taken
-        as M1 (x) M1 (x) M1 (the lumped mass at GLL). In the M1-orthonormal
-        eigenvectors S of every axis each block is the diagonal
-        1 + c (lam_x + lam_y + lam_z + lam_m). The returned callable maps r
-        on the sub-grid off the walls, shape (dim, *free shape), to
-        z = S (1 + c lam)^-1 S^T r, all components contracted together.
+        K is the weak Laplacian and M = M1 (x) M1 (x) M1 (:meth:`tensor_mass`),
+        both restricted to the sub-grid off the walls. In the M1-orthonormal
+        eigenvectors S of every axis the operator is the diagonal
+        1 + c (lam_x + lam_y + lam_z). The returned callable maps r of shape
+        (dim, *free shape) to S (1 + c lam)^-1 S^T r, all components
+        contracted together. The solver of the last c is kept.
         """
         if c == self._diffusion_solver[0]:
             return self._diffusion_solver[1]
         s_axes, lams = self._box_factors(BoundaryTag.DIRICHLET_WALL)
-        dim = self.mesh.dim
-        lam_axes = np.ix_(*lams)  # array axis a holds spatial axis dim-1-a
-        lam_sum = sum(lam_axes)
-        inv = np.stack([1.0 / (1.0 + c * (lam_sum + lam_axes[dim - 1 - m]))
-                        for m in range(dim)])
+        inv = 1.0 / (1.0 + c * sum(np.ix_(*lams)))
 
         def solve(r):
             return _diagonalized_solve(r, s_axes, inv, first_axis=1)

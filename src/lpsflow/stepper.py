@@ -8,21 +8,20 @@ Poisson solve then projects v_s with the projected gradient g_h that LPS
 stabilization also uses, and the linear diffusion term is folded in
 implicitly once per step.
 
-All linear systems are SPD. The pressure system is solved directly on every
-mesh, by fast diagonalization of its Kronecker structure; outflow faces pin
-the pressure, and without them the constant null space is dropped. The
-implicit diffusion solve uses conjugate gradients, so ``TimeScheme.cg_tol``
-governs only the diffusion. Its operator couples the velocity components
-through the transposed gradient. CG runs on the DoFs off the walls, a
-Cartesian sub-grid of the DoF grid, with the wall velocity lifted into the
-right-hand side; the preconditioner is the fast-diagonalization inverse of
-the per-component diagonal blocks on that sub-grid
-(:meth:`GlobalOperators.diffusion_block_solver`).
+All linear systems are SPD and solved directly, by fast diagonalization of
+their Kronecker structure. For the pressure, outflow faces pin the
+pressure, and without them the constant null space is dropped. The viscous
+term is taken in Laplacian form, nu Delta u, which equals the divergence
+of nu (grad u + grad u^T) on divergence-free fields, so every velocity
+component sees the same operator M + c K with M = M1 (x) M1 (x) M1
+(:meth:`GlobalOperators.diffusion_block_solver`). It is solved on the DoFs
+off the walls, a Cartesian sub-grid of the DoF grid, with the wall
+velocity lifted into the right-hand side.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "SolverAbort",
     "CflError",
     "LinearSolveError",
-    "conjugate_gradient",
     "solve_poisson",
 ]
 
@@ -68,31 +66,29 @@ class CflError(SolverAbort):
 
 
 class LinearSolveError(RuntimeError):
-    def __init__(self, message, iterations, residual):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
+    """A linear solve met data it cannot solve (non-finite right-hand side)."""
 
 
 @dataclass
 class TimeScheme:
-    """Time step size, RK scheme and linear-solver controls."""
+    """Time step size, RK scheme, CFL guard and viscous theta.
+
+    ``cg_tol`` is accepted and ignored, for callers written when the
+    viscous solve was iterative; it is not a field.
+    """
 
     dt: float
     t_end: float = 1.0
     rk: str = "ssprk3"
-    cg_tol: float = 1e-8  # CG: the diffusion solve only
-    cg_max_iters: int = 10000
     cfl_limit: float = 1.0
     diffusion_theta: float = 1.0  # 1 = backward Euler, 0.5 = trapezoidal
+    cg_tol: InitVar[float] = None
 
-    def __post_init__(self):
+    def __post_init__(self, cg_tol):
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0.0 < self.cg_tol < 1.0:
-            raise ValueError(f"cg_tol must lie in (0, 1), got {self.cg_tol}")
         if self.rk not in RK_STAGES:
             names = ", ".join(sorted(RK_STAGES))
             raise ValueError(f"unknown rk scheme {self.rk!r} (expected: {names})")
@@ -117,68 +113,8 @@ class StepReport:
     t: float
     dt: float
     poisson_iters: tuple  # one 0 per stage: the pressure solve is direct
-    diffusion_iters: int
+    diffusion_iters: int  # 0: the viscous solve is direct
     wall_seconds: float
-
-
-def _identity(r):
-    return r
-
-
-def conjugate_gradient(apply_op, b, x0=None, tol=1e-8, max_iters=10000,
-                       precond=_identity):
-    """Preconditioned CG for SPD operators given as a callable.
-
-    ``b`` may have any shape, kept by ``apply_op`` and ``precond``. The
-    latter maps a residual r to z = P r for an SPD P that approximates the
-    inverse of the operator (default: no preconditioning). Convergence is
-    on the residual norm relative to ||b||. Returns
-    (x, iterations, relative_residual).
-    """
-    b = np.asarray(b, dtype=float)
-    bnorm = float(np.linalg.norm(b))
-    if not np.isfinite(bnorm):
-        raise LinearSolveError("non-finite right-hand side", 0, bnorm)
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - apply_op(x)
-    rnorm = float(np.linalg.norm(r))
-    iters = 0
-    d = None
-    # The residual is tested before it is preconditioned, so a converged
-    # one never is: precond runs once per iteration.
-    while rnorm > tol * bnorm:
-        if iters >= max_iters:
-            raise LinearSolveError(
-                f"CG stalled at relative residual {rnorm / bnorm:.3e} "
-                f"after {iters} iterations",
-                iters, rnorm / bnorm,
-            )
-        z = precond(r)
-        rz_new = float(np.vdot(r, z))
-        # The copy keeps d apart from r, which the identity returns as z.
-        d = z.copy() if d is None else z + (rz_new / rz) * d
-        rz = rz_new
-        ad = apply_op(d)
-        dad = float(np.vdot(d, ad))
-        if dad <= 0.0:
-            raise LinearSolveError(
-                f"CG breakdown: d.Ad = {dad:.3e} <= 0 after {iters} "
-                "iterations (operator not positive definite)",
-                iters, rnorm / bnorm,
-            )
-        alpha = rz / dad
-        x += alpha * d
-        r -= alpha * ad
-        rnorm = float(np.linalg.norm(r))
-        iters += 1
-    if not np.isfinite(rnorm):  # NaN ends the loop: nan > x is false
-        raise LinearSolveError(
-            f"CG residual became non-finite after {iters} iterations",
-            iters, rnorm,
-        )
-    return x, iters, rnorm / bnorm
 
 
 def solve_poisson(ops: GlobalOperators, rhs: ScalarField, *, values=None):
@@ -194,7 +130,7 @@ def solve_poisson(ops: GlobalOperators, rhs: ScalarField, *, values=None):
     b = rhs.values
     if not np.isfinite(b.sum()):
         raise LinearSolveError("non-finite right-hand side in the direct "
-                               "Poisson solve", 0, float("nan"))
+                               "Poisson solve")
     if values is None:
         return ScalarField(mesh, ops.solve_laplacian(b))
     lift = np.array(values, dtype=float).reshape(mesh.dofs_per_axis[::-1])
@@ -262,53 +198,31 @@ class Stepper:
         g = self.ops.project_gradient(p)
         return VectorField(self.ops.mesh, u_star.data - dt * g.data)
 
-    def diffuse(self, u: VectorField, dt=None):
-        """Implicit theta-step of the symmetric-gradient viscous term, by CG
-        preconditioned with the inverse of its per-component blocks. The
-        wall velocity is lifted into the right-hand side and CG runs on the
-        sub-grid of DoFs off the walls."""
+    def diffuse(self, u: VectorField, dt=None) -> VectorField:
+        """Implicit theta-step of the viscous term nu Delta u, solved
+        directly per component on the sub-grid of DoFs off the walls:
+        (M + theta dt nu K) x = M u - (1 - theta) dt nu K u, with the wall
+        velocity lifted into the right-hand side."""
         dt = self.scheme.dt if dt is None else dt
         nu = self.physics.nu
         if nu == 0.0:
-            return u, 0
+            return u
         ops, mesh = self.ops, self.ops.mesh
         theta = self.scheme.diffusion_theta
-        flat = (mesh.dim, mesh.n_dofs)
         grid = (mesh.dim, *mesh.dofs_per_axis[::-1])
         free = (slice(None), *ops.free_slices(BoundaryTag.DIRICHLET_WALL))
-        mass = ops.lumped_mass
-
-        def apply_a(v):
-            v = v.reshape(flat)
-            out = mass * v + (theta * dt) * ops.symmetric_gradient_stiffness(v, nu)
-            return out.reshape(grid)
-
-        rhs = mass * u.data
-        if theta < 1.0:
-            rhs = rhs - (1.0 - theta) * dt * ops.symmetric_gradient_stiffness(
-                u.data, nu
-            )
-        rhs = rhs.reshape(grid)
-        walls = self.boundary.wall_values.reshape(grid)
-        lift = np.array(walls, dtype=float)
-        lift[free] = 0.0  # the wall velocity on the walls, 0 off them
-        if lift.any():  # else A(lift) is exactly 0: periodic or no-slip
-            rhs = rhs - apply_a(lift)
-        padded = lift  # its memory, zeroed, pads the CG iterates
-        padded.fill(0.0)
-
-        def apply_free(x):
-            padded[free] = x
-            return apply_a(padded)[free]
-
-        x, iters, _ = conjugate_gradient(
-            apply_free, rhs[free], x0=u.data.reshape(grid)[free],
-            tol=self.scheme.cg_tol, max_iters=self.scheme.cg_max_iters,
-            precond=ops.diffusion_block_solver(theta * dt * nu),
-        )
-        out = np.array(walls, dtype=float)
-        out[free] = x
-        return VectorField(mesh, out.reshape(flat)), iters
+        lift = np.array(self.boundary.wall_values, dtype=float)
+        lift.reshape(grid)[free] = 0.0  # the wall velocity, 0 off the walls
+        lifted = lift.any()  # else periodic or no-slip
+        rhs = ops.tensor_mass(u.data - lift if lifted else u.data)
+        if theta < 1.0 or lifted:
+            v = (1.0 - theta) * u.data + theta * lift
+            for m in range(mesh.dim):
+                rhs[m] -= (dt * nu) * ops.weak_laplacian(
+                    ScalarField(mesh, v[m])).values
+        solve = ops.diffusion_block_solver(theta * dt * nu)
+        lift.reshape(grid)[free] = solve(rhs.reshape(grid)[free])
+        return VectorField(mesh, lift)  # the walls, and the solution off them
 
     # -- full step ---------------------------------------------------------
 
@@ -344,14 +258,14 @@ class Stepper:
                 raise SolverAbort("non-finite values after projection stage")
             prev = v
             self.pressure = p
-        u_next, diff_iters = self.diffuse(prev, dt)
+        u_next = self.diffuse(prev, dt)
         if not np.all(np.isfinite(u_next.data)):
             raise SolverAbort("non-finite values after diffusion")
         report = StepReport(
             t=t + dt,
             dt=dt,
             poisson_iters=(0,) * len(stages),
-            diffusion_iters=diff_iters,
+            diffusion_iters=0,
             wall_seconds=time.perf_counter() - t0,
         )
         self.ops.reserve_heap()  # once, after the first step

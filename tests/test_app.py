@@ -144,6 +144,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("seckey", [
         ("output", "workers"), ("outflow", "U0"), ("outflow", "beta"),
+        ("scheme", "cg_tol"), ("scheme", "cg_max_iters"),
     ])
     def test_deleted_keys_rejected(self, seckey):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -165,7 +166,7 @@ class TestConfig:
             RunConfig.resolve({seckey: "bogus"})
 
     @pytest.mark.parametrize("seckey,value", [
-        (("scheme", "cg_tol"), "2"),
+        (("scheme", "convective_form"), "2"),
         (("scheme", "diffusion_theta"), "3"),
         (("scheme", "rk"), "rk4"),
         (("stabilization", "c_s"), "1.5"),
@@ -472,8 +473,7 @@ class TestCli:
         path.write_text("[case]\nname = nonexistent_case\n")
         assert main(["check-config", str(path)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("override", ["scheme.cg_tol=2",
-                                          "scheme.diffusion_theta=3",
+    @pytest.mark.parametrize("override", ["scheme.diffusion_theta=3",
                                           "mesh.n=0", "mesh.n=8,0",
                                           "scheme.t_end=nan",
                                           "scheme.t_end=-1",

@@ -373,45 +373,6 @@ class TestConvective:
             ops.convective_term(VectorField(mesh), "upwinded")
 
 
-class TestSymmetricGradientStiffness:
-    @pytest.mark.parametrize("p", range(1, 9))
-    @settings(max_examples=15)
-    @given(data=st.data())
-    def test_kronecker_form_equals_element_form(self, p, data):
-        # In 3D at a collocated rule the Kronecker sum on the DoF grid
-        # against the element kernels it replaces: gather, differentiate
-        # at the quadrature points, weight by W and scatter the transpose.
-        # Every order is its own case: 100 derandomized draws of p never
-        # drew 4 or 5.
-        dim = 3
-        elems = data.draw(st.tuples(*[st.integers(1, 3)] * dim))
-        lengths = data.draw(st.tuples(*[st.floats(0.5, 2.0)] * dim))
-        tags = {}
-        for k in range(dim):
-            lo, hi = face_names(dim)[2 * k:2 * k + 2]
-            if elems[k] * p >= 2 and data.draw(st.booleans()):
-                tags[lo] = tags[hi] = "periodic"
-            else:  # a wall or outflow face, drawn per face
-                for name in (lo, hi):
-                    tags[name] = data.draw(st.sampled_from(["wall", "outflow"]))
-        mesh = build_structured_mesh(dim, [(0.0, h) for h in lengths],
-                                     elems, p, "gll", tags)
-        ops = GlobalOperators(mesh)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        udata = rng.standard_normal((dim, mesh.n_dofs))
-        locs = [ops._gather(v) for v in udata]
-        nu = 0.7
-        want = np.empty_like(udata)
-        for m in range(dim):
-            acc = 0.0
-            for k in range(dim):
-                s = ops._deriv(locs[m], k) + ops._deriv(locs[k], m)
-                acc = acc + ops._deriv(s * ops._wq, k, transpose=True)
-            want[m] = nu * ops._scatter(acc)
-        got = ops.symmetric_gradient_stiffness(udata, nu)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
 class TestCurl:
     def test_linear_shear_2d(self):
         mesh = periodic_mesh(2, 4, 2)
