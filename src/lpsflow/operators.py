@@ -16,10 +16,11 @@ x alone (``_projected_derivs``): one 1D matrix per axis. It gives
 ``project_gradient``, the curl and, times the lumped mass, the weak
 gradient and divergence. Convection there is evaluated on the DoF grid
 from the same projected derivatives, since the lumped scatter of W f is
-M_L f at the nodes. The projection stabilization at a collocated rule is a
-penalty on the jumps of the normal derivative across element faces, so it
-too is built from 1D matrices per axis (``face_jumps``), and a collocated
-step runs no element kernel but the low-order stabilization's.
+M_L f at the nodes; ``project_convection`` keeps it nodal. The projection
+stabilization at a collocated rule is a penalty on the jumps of the normal
+derivative across element faces, so it too is built from 1D matrices per
+axis (``face_jumps``), and a collocated step runs no element kernel but the
+low-order stabilization's.
 
 What else varies per element or per quadrature point (the low-order
 stabilization, integrals at the quadrature points, and off collocation
@@ -466,19 +467,27 @@ class GlobalOperators:
         lumped mass once. Otherwise element kernels evaluate it at the
         quadrature points.
         """
+        return VectorField(self.mesh, self._weak(self._convect(u, form)))
+
+    def project_convection(self, u: VectorField, form) -> VectorField:
+        """Nodal convective term: lumped-mass inverse of convective_term.
+        At a collocated rule it is evaluated on the DoF grid and never
+        multiplied by the lumped mass."""
+        return VectorField(self.mesh, self._nodal(self._convect(u, form)))
+
+    def _convect(self, u, form):
+        """The convective term in the form that ``_partial`` returns: nodal
+        at a collocated rule, else the weak residual."""
         _check_same_mesh(self.mesh, u)
         form = ConvectiveForm.coerce(form)
         out = np.empty((self.mesh.dim, self.mesh.n_dofs))
         if self.basis.collocated:
-            _convection(form, u.data, lambda v: v, self._partial,
-                        lambda f: f, out)
-            out *= self.lumped_mass
-        else:
-            _convection(form, [self._gather(v) for v in u.data],
-                        self._to_quad, self._deriv,
-                        lambda f: self._scatter(self._from_quad_t(f * self._wq)),
-                        out)
-        return VectorField(self.mesh, out)
+            return _convection(form, u.data, lambda v: v, self._partial,
+                               lambda f: f, out)
+        return _convection(form, [self._gather(v) for v in u.data],
+                           self._to_quad, self._deriv,
+                           lambda f: self._scatter(self._from_quad_t(f * self._wq)),
+                           out)
 
     def curl(self, u: VectorField) -> VectorField:
         """Nodal vorticity via lumped-mass projection of curl u.

@@ -2,24 +2,32 @@
 
 Point data arrays are named u, v, w, p; missing velocity components are
 written as zeros so downstream tooling sees a fixed schema.
+
+Each block of numbers is formatted by a single C-level ``%`` call with
+``%.17g``, which gives the bytes of ``format(v, ".17g")``, ``nan``, ``inf``
+and ``-0`` included. The VTK blocks that depend only on the mesh (the
+coordinates and the zeros of a missing component) are formatted once per
+mesh and cached, keyed weakly by the mesh, so they go when the mesh goes.
 """
+
+import weakref
 
 import numpy as np
 
 __all__ = ["write_snapshot", "snapshot_writer", "write_vtk", "write_csv_points",
            "read_csv_points"]
 
+# mesh -> (coordinate block, zero block) of its VTK files
+_MESH_BLOCKS = weakref.WeakKeyDictionary()
 
-def _point_arrays(mesh, velocity, pressure):
-    ndofs = mesh.n_dofs
-    arrays = {}
-    for i, name in enumerate(("u", "v", "w")):
-        if velocity is not None and i < velocity.ncomp:
-            arrays[name] = velocity.data[i]
-        else:
-            arrays[name] = np.zeros(ndofs)
-    arrays["p"] = pressure.values if pressure is not None else np.zeros(ndofs)
-    return arrays
+
+def _block(table, sep=" "):
+    """The rows of a 1D or 2D array as text: each value as %.17g, values in
+    a row joined by ``sep``, every row ending in a newline."""
+    table = np.asarray(table)
+    ncols = table.shape[1] if table.ndim == 2 else 1
+    row = sep.join(["%.17g"] * ncols) + "\n"
+    return row * len(table) % tuple(table.ravel().tolist())
 
 
 def _points3(mesh):
@@ -28,34 +36,53 @@ def _points3(mesh):
     return pts
 
 
+def _format_mesh_blocks(mesh):
+    return _block(_points3(mesh)), _block(np.zeros(mesh.n_dofs))
+
+
+def _mesh_blocks(mesh):
+    """The mesh's coordinate and zero blocks, formatted on first use."""
+    blocks = _MESH_BLOCKS.get(mesh)
+    if blocks is None:
+        blocks = _MESH_BLOCKS[mesh] = _format_mesh_blocks(mesh)
+    return blocks
+
+
+def _point_arrays(mesh, velocity, pressure):
+    """u, v, w, p as name -> nodal values, None for a missing field."""
+    ncomp = velocity.ncomp if velocity is not None else 0
+    arrays = {name: velocity.data[i] if i < ncomp else None
+              for i, name in enumerate(("u", "v", "w"))}
+    arrays["p"] = pressure.values if pressure is not None else None
+    return arrays
+
+
 def write_vtk(path, mesh, velocity=None, pressure=None, title="flow snapshot"):
     """Legacy ASCII STRUCTURED_GRID file loadable by standard viewers."""
     dims = [1, 1, 1]
     for k in range(mesh.dim):
         dims[k] = mesh.dofs_per_axis[k]
-    pts = _points3(mesh)
-    arrays = _point_arrays(mesh, velocity, pressure)
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
-             "DATASET STRUCTURED_GRID", f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}",
-             f"POINTS {mesh.n_dofs} double"]
-    lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in pts.tolist()]
-    lines.append(f"POINT_DATA {mesh.n_dofs}")
-    for name, vals in arrays.items():
-        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-        lines += [f"{v:.17g}" for v in vals.tolist()]
+    n = mesh.n_dofs
+    points, zeros = _mesh_blocks(mesh)
+    parts = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET STRUCTURED_GRID\n"
+             f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\nPOINTS {n} double\n",
+             points, f"POINT_DATA {n}\n"]
+    for name, vals in _point_arrays(mesh, velocity, pressure).items():
+        parts += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
+                  zeros if vals is None else _block(vals)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(parts)
     return path
 
 
 def write_csv_points(path, mesh, velocity=None, pressure=None):
     """Point-cloud alternative: x,y,z,u,v,w,p with one row per DoF."""
-    arrays = _point_arrays(mesh, velocity, pressure)
-    table = np.column_stack([_points3(mesh), *arrays.values()])
-    row = ",".join(["{:.17g}"] * table.shape[1])
-    lines = ["x,y,z,u,v,w,p"] + [row.format(*r) for r in table.tolist()]
+    zeros = np.zeros(mesh.n_dofs)
+    columns = [zeros if vals is None else vals
+               for vals in _point_arrays(mesh, velocity, pressure).values()]
+    table = np.column_stack([_points3(mesh), *columns])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,z,u,v,w,p\n" + _block(table, ","))
     return path
 
 

@@ -161,12 +161,16 @@ class Stepper:
     # -- pieces of one stage ---------------------------------------------------
 
     def inviscid_rhs(self, u: VectorField):
-        """M^{-1}(-convection + stabilization); zero on constrained rows."""
-        conv = self.ops.convective_term(u, self.convective_form)
+        """-(nodal convection) + M^{-1} stabilization; zero on constrained
+        rows."""
+        # conv stays referenced until the return: freed before the
+        # stabilization, it left the 8^3 P4 heap peak ~0.6 MB higher.
+        conv = self.ops.project_convection(u, self.convective_form)
         rhs = -conv.data
         if self.stabilization.mode is not StabilizationMode.NONE:
-            rhs += momentum_stabilization(self.ops, u, self.stabilization).data
-        rhs *= self.ops._inv_lumped
+            s = momentum_stabilization(self.ops, u, self.stabilization).data
+            s *= self.ops._inv_lumped
+            rhs += s
         if self.boundary.has_walls:
             rhs[:, self.boundary.wall_dofs] = 0.0
         return rhs

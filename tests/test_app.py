@@ -280,6 +280,65 @@ class TestSnapshots:
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
         assert b"\n-0\nnan\ninf\n1e-300\n-inf\n0.10000000000000001\n" in path.read_bytes()
 
+        # A 3D walled P2 mesh written in turn with the 2D one: each file
+        # carries its own mesh's cached coordinate and zero blocks.
+        mesh3 = walled_mesh(3, (2, 1, 1), 2, length=0.3)
+        n3 = mesh3.n_dofs
+        u3 = VectorField(mesh3, np.resize(specials, (3, n3)) * np.arange(1, n3 + 1))
+        want3 = ["# vtk DataFile Version 3.0", "flow snapshot", "ASCII",
+                 "DATASET STRUCTURED_GRID", "DIMENSIONS 5 3 3", f"POINTS {n3} double"]
+        want3 += [" ".join(format(c, ".17g") for c in xyz) for xyz in mesh3.node_coords]
+        want3.append(f"POINT_DATA {n3}")
+        for name, vals in (("u", u3.data[0]), ("v", u3.data[1]),
+                           ("w", u3.data[2]), ("p", np.zeros(n3))):
+            want3 += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            want3 += [format(v, ".17g") for v in vals]
+        want3 = ("\n".join(want3) + "\n").encode()
+        want2 = path.read_bytes()
+        for _ in range(2):
+            write_snapshot(path, mesh3, u3, fmt="vtk")
+            assert path.read_bytes() == want3
+            write_snapshot(path, mesh, u, p, fmt="vtk")
+            assert path.read_bytes() == want2
+
+    def test_vtk_formats_mesh_blocks_once_per_mesh(self, tmp_path, monkeypatch):
+        from lpsflow import snapshot
+
+        calls = []
+        fmt = snapshot._format_mesh_blocks
+        monkeypatch.setattr(snapshot, "_format_mesh_blocks",
+                            lambda mesh: calls.append(mesh) or fmt(mesh))
+        mesh = periodic_mesh(2, 3, 2)
+        write_snapshot(tmp_path / "a.vtk", mesh, fmt="vtk")
+        write_snapshot(tmp_path / "b.vtk", mesh, fmt="vtk")
+        assert calls == [mesh]
+        twin = periodic_mesh(2, 3, 2)
+        write_snapshot(tmp_path / "c.vtk", twin, fmt="vtk")
+        assert calls == [mesh, twin]
+        assert (tmp_path / "c.vtk").read_bytes() == (tmp_path / "a.vtk").read_bytes()
+
+    def test_vtk_cache_empties_with_its_meshes(self, tmp_path, monkeypatch):
+        import gc
+        import weakref
+
+        from lpsflow import snapshot
+        from lpsflow.operators import ScalarField, VectorField
+
+        # A fresh cache of the module's own kind, so that only these meshes
+        # are in it.
+        monkeypatch.setattr(snapshot, "_MESH_BLOCKS", type(snapshot._MESH_BLOCKS)())
+        mesh = walled_mesh(2, 3, 1)
+        alive = weakref.ref(mesh)
+        u = VectorField(mesh, np.ones((2, mesh.n_dofs)))
+        p = ScalarField(mesh, np.zeros(mesh.n_dofs))
+        write_snapshot(tmp_path / "snap.vtk", mesh, u, p, fmt="vtk")
+        write_snapshot(tmp_path / "snap.vtk", periodic_mesh(3, 2, 1), fmt="vtk")
+        assert len(snapshot._MESH_BLOCKS) >= 1
+        del mesh, u, p
+        gc.collect()
+        assert alive() is None
+        assert len(snapshot._MESH_BLOCKS) == 0
+
     def test_csv_exact_bytes(self, tmp_path):
         mesh = walled_mesh(2, (2, 1), 1, length=0.3)
         from lpsflow.operators import ScalarField, VectorField

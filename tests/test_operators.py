@@ -288,6 +288,17 @@ class TestConvective:
         unorm = np.sqrt(float(np.sum(ops.lumped_mass * np.sum(u.data**2, 0))))
         assert abs(float(np.sum(u.data * resid))) < 1e-11 * unorm**3
 
+    @pytest.mark.parametrize("mesh_args", [(2, 3, 2, "gll"), (3, 2, 4, "gll"),
+                                           (2, 3, 3, "equispaced")])
+    @pytest.mark.parametrize("form", ["conservative", "nonconservative", "skew"])
+    def test_project_convection_is_lumped_inverse(self, mesh_args, form, rng):
+        mesh = periodic_mesh(*mesh_args[:3], spacing=mesh_args[3])
+        ops = GlobalOperators(mesh)
+        u = VectorField(mesh, rng.standard_normal((mesh.dim, mesh.n_dofs)))
+        want = ops.convective_term(u, form).data / ops.lumped_mass
+        got = ops.project_convection(u, form).data
+        assert np.allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
     @pytest.mark.parametrize("form", ["conservative", "nonconservative", "skew"])
     def test_against_dense_oracle(self, form, rng):
         mesh = periodic_mesh(2, 3, 2)
