@@ -1,9 +1,12 @@
 """Flow observables and solver-health metrics.
 
 All integrals use the solver's own quadrature so the reported quantities are
-properties of the discrete dynamics, not of a finer reconstruction. The CSV
-schema is one header line ``t,E_k,zeta,eps,div_norm,stab_power`` followed by
-17-significant-digit decimal floats.
+properties of the discrete dynamics, not of a finer reconstruction: each
+squared norm is u . (M u) with the tensor mass M of the operator set
+(``GlobalOperators.tensor_mass``, the lumped mass at a collocated rule),
+which needs no element kernel. The CSV schema is one header line
+``t,E_k,zeta,eps,div_norm,stab_power`` followed by 17-significant-digit
+decimal floats.
 """
 
 from dataclasses import dataclass
@@ -39,33 +42,29 @@ class DiagnosticsRecord:
     stab_power: float
 
 
+def _quad_norm2(ops: GlobalOperators, data) -> float:
+    """sum_k u_k . (M u_k) of stacked nodal values: the rule's quadrature
+    of |u|^2, with M = M1 (x) M1 (x) M1 (``tensor_mass``)."""
+    return float(np.sum(data * ops.tensor_mass(data)))
+
+
 def kinetic_energy(ops: GlobalOperators, u: VectorField) -> float:
     """Volume-averaged kinetic energy quad(|u|^2 / 2) / |Omega|."""
-    total = 0.0
-    for k in range(u.ncomp):
-        q = ops.interp_to_quad(u.data[k])
-        total += ops.integrate(q * q)
-    return 0.5 * total / ops.mesh.domain_volume
+    return 0.5 * _quad_norm2(ops, u.data) / ops.mesh.domain_volume
 
 
 def enstrophy_dissipation(ops: GlobalOperators, u: VectorField, nu: float):
     """Volume-averaged enstrophy and the dissipation rate 2 nu zeta."""
     if ops.mesh.dim < 2:
         raise ValueError("enstrophy needs dim >= 2")
-    omega = ops.curl(u)
-    total = 0.0
-    for k in range(omega.ncomp):
-        q = ops.interp_to_quad(omega.data[k])
-        total += ops.integrate(q * q)
-    zeta = 0.5 * total / ops.mesh.domain_volume
+    zeta = 0.5 * _quad_norm2(ops, ops.curl(u).data) / ops.mesh.domain_volume
     return zeta, 2.0 * nu * zeta
 
 
 def divergence_norm(ops: GlobalOperators, u: VectorField) -> float:
     """L2 norm of the lumped-mass projection of div u."""
     d = ops.project_divergence(u).values
-    q = ops.interp_to_quad(d)
-    return float(np.sqrt(ops.integrate(q * q)))
+    return float(np.sqrt(_quad_norm2(ops, d[None])))
 
 
 def stabilization_power(ops: GlobalOperators, u: VectorField,

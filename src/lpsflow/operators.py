@@ -16,22 +16,18 @@ x alone (``_projected_derivs``): one 1D matrix per axis. It gives
 ``project_gradient``, the curl and, times the lumped mass, the weak
 gradient and divergence. Convection there is evaluated on the DoF grid
 from the same projected derivatives, since the lumped scatter of W f is
-M_L f at the nodes; ``project_convection`` keeps it nodal. The projection
-stabilization at a collocated rule is a penalty on the jumps of the normal
-derivative across element faces, so it too is built from 1D matrices per
-axis (``face_jumps``), and a collocated step runs no element kernel but the
-low-order stabilization's.
+M_L f at the nodes; ``project_convection`` keeps it nodal. Both
+stabilizations at a collocated rule are weighted forms of 1D broken
+derivatives per axis (``face_jumps``): the low-order one of every
+element's own derivative, the projection one of its jumps across element
+faces. So a collocated step runs no element kernel.
 
-What else varies per element or per quadrature point (the low-order
-stabilization, integrals at the quadrature points, and off collocation
-convection and LPS) is an element loop in disguise: gather element-local
-nodal values with fancy indexing, differentiate them, weight them at the
-quadrature points and scatter-add back with ``np.bincount``. The
-derivative d/dx_k and its transpose follow from the basis alone. For the
-low-order stabilization at collocated GLL with p >= 4 they contract the
-1D matrix D (2/h_k) along one axis of the (E, m, ..., m) element array
-(sum factorization); otherwise they multiply a dense (p+1)^d x (p+1)^d
-element block.
+Off collocation (equispaced p >= 3, over-integrated rules) convection and
+LPS, and at any rule the public quadrature-point helpers, are an element
+loop in disguise: gather element-local nodal values with fancy indexing,
+multiply them by a dense (nq^d x (p+1)^d) element block of values or of
+d/dx_k at the quadrature points, weight them there and scatter-add back
+with ``np.bincount``. The blocks follow from the basis alone.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
@@ -244,18 +240,13 @@ class GlobalOperators:
         # Flat quadrature weights (incl. |J|).
         self._wq = reduce(np.kron, [b.quad_weights] * dim) * (
             mesh.elem_volume / 2.0**dim)
-        # Element derivatives of grad_at_quad and weak_div_flux, the only
-        # element kernels a collocated step may run (the low-order
-        # stabilization): single-axis at GLL p >= 4, dense blocks below.
-        self._single_axis = b.collocated and b.order >= 4
-        self._elem_shape = ((mesh.n_elems,) + (b.n_quad,) * dim
-                            if self._single_axis else (mesh.n_elems, -1))
 
         self.lumped_mass = self._assemble_lumped_mass()
         self._inv_lumped = 1.0 / self.lumped_mass
         self._eigenpairs = {}  # see _box_factors
         self._diffusion_solver = (None, None)  # last c and its solver
-        # A step's largest array: element-wise or a stacked vector field.
+        # A step's largest array, a stacked vector field. The element-array
+        # term stays because the heap sizing TestHeldHeap pins was tuned on it.
         self._step_bytes = 8 * max(mesh.n_elems * self._nqd,
                                    dim * mesh.n_dofs)
         self._heap_reserved = False
@@ -279,41 +270,27 @@ class GlobalOperators:
             self._flat_gidx, weights=local.ravel(), minlength=self.mesh.n_dofs
         )
 
-    def _to_quad(self, local):
-        return local if self.basis.collocated else local @ self._phi.T
-
-    def _from_quad_t(self, qvals):
-        return qvals if self.basis.collocated else qvals @ self._phi
-
-    def _deriv(self, vals, k, transpose=False):
-        """d/dx_k of element-local nodal values at the quadrature points;
-        ``transpose``: entry i of an element is sum_q vals[q] dl_i/dx_k (q)."""
-        mat, mat_t, axis = self._kernels[k]
-        return apply_along_axis(mat_t if transpose else mat,
-                                vals.reshape(self._elem_shape),
-                                axis).reshape(len(vals), -1)
+    def _deriv(self, vals, k=None, transpose=False):
+        """Element-local nodal values at the quadrature points (``k`` None)
+        or their d/dx_k there; ``transpose``: entry i of an element is
+        sum_q vals[q] l_i(q), or sum_q vals[q] dl_i/dx_k (q)."""
+        if k is None and self.basis.collocated:
+            return vals  # the quadrature points are the nodes
+        mat = self._kernels[k]
+        return vals @ (mat if transpose else mat.T)
 
     @cached_property
     def _kernels(self):
-        """Per axis k, d/dx_k, its transpose and the element-array axis they
-        contract: D (2/h_k) on one axis of (E, m, ..., m), or off the
-        single-axis path the dense block DPHI[k] (nqd, nloc) on (E, nloc)."""
+        """Dense element blocks (nqd, nloc): key k the d/dx_k of the basis
+        at the quadrature points and, off collocation, key None its
+        values there."""
         dim, b = self.mesh.dim, self.basis
-        if self._single_axis:
-            # x is one GEMM, fastest with the matrix's transpose C-contiguous;
-            # the other axes want the matrix itself C-contiguous.
-            lay = [np.asfortranarray] + [np.ascontiguousarray] * (dim - 1)
-            return [(lay[k](d), lay[k](d.T), dim - k) for k, d in
-                    enumerate(b.quad_diff_matrix * s for s in self._scale)]
-        dense = [reduce(np.kron, [b.quad_diff_matrix if a == dim - 1 - k
-                                  else b.eval_matrix for a in range(dim)])
-                 * self._scale[k] for k in range(dim)]
-        return [(d, d.T, 1) for d in dense]
-
-    @cached_property
-    def _phi(self):
-        """Evaluation block (nqd, nloc); used only when not collocated."""
-        return reduce(np.kron, [self.basis.eval_matrix] * self.mesh.dim)
+        blocks = {k: reduce(np.kron, [b.quad_diff_matrix if a == dim - 1 - k
+                                      else b.eval_matrix for a in range(dim)])
+                  * self._scale[k] for k in range(dim)}
+        if not b.collocated:
+            blocks[None] = reduce(np.kron, [b.eval_matrix] * dim)
+        return blocks
 
     def _kron_term(self, values, k, mat):
         """Flat nodal values times ``mat`` (K1 or G1 of axis k) on axis k
@@ -371,7 +348,7 @@ class GlobalOperators:
 
     def interp_to_quad(self, values):
         """Nodal values -> values at all quadrature points, (E, nq^dim)."""
-        return self._to_quad(self._gather(values))
+        return self._deriv(self._gather(values))
 
     def grad_at_quad(self, values):
         """Physical gradient of a nodal field at the quadrature points."""
@@ -388,7 +365,8 @@ class GlobalOperators:
         fvals = np.asarray(fn(pts.reshape(-1, self.mesh.dim)), dtype=float)
         fvals = fvals.reshape(self.mesh.n_elems, self._nqd)
         return ScalarField(self.mesh,
-                           self._scatter(self._from_quad_t(fvals * self._wq)))
+                           self._scatter(self._deriv(fvals * self._wq,
+                                                     transpose=True)))
 
     # -- spec operators ----------------------------------------------------
 
@@ -485,8 +463,9 @@ class GlobalOperators:
             return _convection(form, u.data, lambda v: v, self._partial,
                                lambda f: f, out)
         return _convection(form, [self._gather(v) for v in u.data],
-                           self._to_quad, self._deriv,
-                           lambda f: self._scatter(self._from_quad_t(f * self._wq)),
+                           self._deriv, self._deriv,
+                           lambda f: self._scatter(
+                               self._deriv(f * self._wq, transpose=True)),
                            out)
 
     def curl(self, u: VectorField) -> VectorField:
@@ -546,14 +525,15 @@ class GlobalOperators:
 
     @cached_property
     def face_jumps(self):
-        """Per spatial axis k, the 1D matrices of the LPS face form at a
-        collocated rule (:func:`lpsflow.stabilization.lps_term`), with D
-        the derivative matrix and w the quadrature weights of the basis:
+        """Per spatial axis k, the 1D matrices of both stabilizations at a
+        collocated rule (:mod:`lpsflow.stabilization`), with D the
+        derivative matrix and w the quadrature weights of the basis:
 
-        - C (faces x n_k): the jump (2/h_k)(D[0] phi_right - D[p] phi_left)
-          of the one-sided derivative on every inter-element face. A
-          periodic axis has N_k faces, a non-periodic one only its N_k - 1
-          interior faces.
+        - B (N_k (p+1) x n_k): the broken derivative, every element's own
+          (2/h_k) D at its nodes; row e (p+1) + i is node i of element e.
+        - C (faces x n_k): the jump B[right, 0] - B[left, p] of the
+          one-sided derivative on every inter-element face. A periodic axis
+          has N_k faces, a non-periodic one only its N_k - 1 interior faces.
         - S_left, S_right (n_k x faces): carry a face value back into the
           left element through beta D[p]^T and into the right one through
           -beta D[0]^T, beta = w_0 w_p / (w_0 + w_p).
@@ -567,18 +547,19 @@ class GlobalOperators:
         for k in range(mesh.dim):
             h, n = mesh.h_axes[k], mesh.dofs_per_axis[k]
             ids, n_el = mesh._axis_dof_maps[k], mesh.elems_per_axis[k]
+            rows = np.arange(n_el * (p + 1)).reshape(n_el, p + 1, 1)
+            broken = np.zeros((rows.size, n))
+            np.add.at(broken, (rows, ids[:, None, :]), (2.0 / h) * D)
             left = np.arange(n_el if mesh.periodic[k] else n_el - 1)
             right = (left + 1) % n_el
             faces = np.arange(left.size)[:, None]
-            jump = np.zeros((left.size, n))
-            np.add.at(jump, (faces, ids[right]), (2.0 / h) * D[0])
-            np.add.at(jump, (faces, ids[left]), (-2.0 / h) * D[p])
+            jump = broken[right * (p + 1)] - broken[left * (p + 1) + p]
             s_left, s_right = np.zeros((n, left.size)), np.zeros((n, left.size))
             np.add.at(s_left, (ids[left], faces), beta * D[p])
             np.add.at(s_right, (ids[right], faces), -beta * D[0])
             expand = np.zeros((n, n_el))
             np.add.at(expand, (ids, np.arange(n_el)[:, None]), (0.5 * h) * w)
-            out.append((jump, s_left, s_right, expand, left, right))
+            out.append((broken, jump, s_left, s_right, expand, left, right))
         return out
 
     @cached_property

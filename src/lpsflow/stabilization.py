@@ -6,19 +6,23 @@ projection option (LPS) penalizes only the difference between the discrete
 gradient and its continuous (lumped-projected) counterpart g_h, which is
 what keeps the added dissipation small and shrinking with p.
 
-At a collocated rule (GLL, or equispaced p <= 2) that difference is zero at
-element-interior nodes. On an inter-element face with normal axis k it is
+At a collocated rule (GLL, or equispaced p <= 2) both terms are weighted
+forms of the 1D matrices of :attr:`GlobalOperators.face_jumps` on the
+(z, y, x) DoF grid. The low-order term is, per axis, B^T (Omega * B phi),
+with B every element's own derivative at its nodes and Omega nu_e times
+their quadrature weights (Deville, Fischer & Mund 2002, sec. 4). For LPS
+the gradient difference is zero at element-interior nodes. On an
+inter-element face with normal axis k it is
 the jump J = (2/h_k)(D[0] phi_right - D[p] phi_left) of the one-sided
 normal derivative, times w_0 / (w_0 + w_p) on the left element and
 -w_p / (w_0 + w_p) on the right (both 1/2, the rule being symmetric);
 g_h is one-sided on a boundary face, so the difference is zero there.
 LPS is then an interior penalty on gradient jumps (Burman & Hansbo 2004,
-Braack & Burman 2006) and is evaluated on the (z, y, x) DoF grid from the
-1D matrices of :attr:`GlobalOperators.face_jumps`: per axis, the jumps
-C phi, weighted by c_s nu_e and the tangential quadrature weights of the
-elements either side, and spread back by S_left and S_right. Off
-collocation (equispaced p >= 3, over-integrated rules) the term is
-assembled by element kernels at the quadrature points.
+Braack & Burman 2006): per axis, the jumps C phi, weighted by c_s nu_e and
+the tangential quadrature weights of the elements either side, and spread
+back by S_left and S_right. Off collocation (equispaced p >= 3,
+over-integrated rules) both terms are assembled by element kernels at the
+quadrature points.
 
 Sign convention: ``momentum_stabilization`` returns the term as added to the
 right-hand side of the explicit prediction step, i.e. oriented so that
@@ -91,44 +95,55 @@ def upwind_viscosity(ops: GlobalOperators, u: VectorField) -> np.ndarray:
 
 def low_order_term(ops: GlobalOperators, phi: ScalarField,
                    nu_elem: np.ndarray) -> ScalarField:
-    """Element-scaled stiffness residual: quad(nu_e grad w . grad phi)."""
+    """Element-scaled stiffness residual: quad(nu_e grad w . grad phi),
+    on the DoF grid at a collocated rule (module docstring)."""
+    if ops.basis.collocated:
+        return ScalarField(ops.mesh, _grid_form(
+            ops, phi.values, _grid_weights(ops, nu_elem, 1.0, True)))
     return ops.weak_div_flux(ops.grad_at_quad(phi.values),
                              elem_scale=np.asarray(nu_elem, dtype=float))
 
 
-def _face_weights(ops: GlobalOperators, nu_elem, c_s):
-    """Per axis k, c_s nu_e times the tangential quadrature weights of the
-    elements left and right of every axis-k face, on the face grid: nu on
-    the element grid contracted with X of every other axis."""
+def _grid_weights(ops: GlobalOperators, nu_elem, c, upwind):
+    """Per axis k, F and the (R, W) pairs of ``_grid_form``. W is c nu_e
+    times the tangential quadrature weights (X of every other axis), taken
+    either side of every face for LPS (F = C, R = S_left, S_right), or
+    repeated over the element nodes times w h_k / 2 for the low-order
+    term (F = B, R = B^T)."""
     mesh = ops.mesh
-    dim = mesh.dim
-    nu = c_s * np.asarray(nu_elem, dtype=float).reshape(
+    dim, p = mesh.dim, mesh.order
+    nu = c * np.asarray(nu_elem, dtype=float).reshape(
         mesh.elems_per_axis[::-1])
     out = []
-    expand = [x for _, _, _, x, _, _ in ops.face_jumps]
-    for k, (*_, left, right) in enumerate(ops.face_jumps):
+    for k, (broken, jump, s_left, s_right, _, left, right) in enumerate(
+            ops.face_jumps):
+        ax = dim - 1 - k
         v = nu
         for a in range(dim):
             if a != k:
-                v = apply_along_axis(expand[a], v, dim - 1 - a)
-        out.append((np.take(v, left, axis=dim - 1 - k),
-                    np.take(v, right, axis=dim - 1 - k)))
+                v = apply_along_axis(ops.face_jumps[a][4], v, dim - 1 - a)
+        if upwind:
+            node_w = np.tile((0.5 * mesh.h_axes[k]) * ops.basis.quad_weights,
+                             mesh.elems_per_axis[k])
+            omega = apply_along_axis(node_w, np.repeat(v, p + 1, axis=ax), ax)
+            out.append((broken, ((broken.T, omega),)))
+        else:
+            out.append((jump, ((s_left, np.take(v, left, axis=ax)),
+                               (s_right, np.take(v, right, axis=ax)))))
     return out
 
 
-def _face_lps(ops: GlobalOperators, values, weights):
-    """The LPS face form of one nodal field on the DoF grid: per axis, the
-    face jumps C phi, weighted by ``_face_weights`` and spread back by
-    S_left and S_right."""
+def _grid_form(ops: GlobalOperators, values, weights):
+    """A stabilization form of one nodal field on the DoF grid: per axis k,
+    sum over (R, W) of R (W * F phi), each matrix contracted along axis k."""
     dim = ops.mesh.dim
     grid = values.reshape(ops.mesh.dofs_per_axis[::-1])
     out = np.zeros_like(grid)
-    for k, ((jump, s_left, s_right, *_), (w_left, w_right)) in enumerate(
-            zip(ops.face_jumps, weights)):
+    for k, (mat, pairs) in enumerate(weights):
         ax = dim - 1 - k
-        j = apply_along_axis(jump, grid, ax)
-        out += apply_along_axis(s_left, j * w_left, ax)
-        out += apply_along_axis(s_right, j * w_right, ax)
+        f = apply_along_axis(mat, grid, ax)
+        for spread, w in pairs:
+            out += apply_along_axis(spread, f * w, ax)
     return out.ravel()
 
 
@@ -144,8 +159,8 @@ def lps_term(ops: GlobalOperators, phi: ScalarField, nu_elem: np.ndarray,
     if c_s == 0.0:
         return ScalarField(ops.mesh)
     if ops.basis.collocated:
-        return ScalarField(ops.mesh, _face_lps(
-            ops, phi.values, _face_weights(ops, nu_elem, c_s)))
+        return ScalarField(ops.mesh, _grid_form(
+            ops, phi.values, _grid_weights(ops, nu_elem, c_s, False)))
     g = ops.project_gradient(phi).data
     flux = [ops.interp_to_quad(g_k) - grad_q
             for g_k, grad_q in zip(g, ops.grad_at_quad(phi.values))]
@@ -159,23 +174,26 @@ def momentum_stabilization(ops: GlobalOperators, u: VectorField,
     """Stabilization residual for every velocity component.
 
     One shared element viscosity is computed from the velocity magnitude and
-    applied to each component; the LPS face form expands it to face weights
-    once for all of them. Returned with the dissipative orientation for a
-    right-hand-side term (see module docstring).
+    applied to each component; at a collocated rule it is expanded once to
+    the DoF-grid weights, which carry the low-order term's minus sign.
+    Returned with the dissipative orientation for a right-hand-side term
+    (see module docstring).
     """
     mode = config.mode
     if mode is StabilizationMode.NONE or (mode is StabilizationMode.LPS
                                           and config.c_s == 0.0):
         return VectorField(ops.mesh, ncomp=u.ncomp)
     nu_elem = upwind_viscosity(ops, u)
-    if mode is StabilizationMode.LPS and ops.basis.collocated:
-        weights = _face_weights(ops, nu_elem, config.c_s)
+    upwind = mode is StabilizationMode.LOW_ORDER_UPWIND
+    if ops.basis.collocated:
+        weights = _grid_weights(ops, nu_elem, -1.0 if upwind else config.c_s,
+                                upwind)
         return VectorField(ops.mesh, np.stack(
-            [_face_lps(ops, u.data[k], weights) for k in range(u.ncomp)]))
+            [_grid_form(ops, v, weights) for v in u.data]))
     out = np.empty_like(u.data)
     for k in range(u.ncomp):
         comp = ScalarField(ops.mesh, u.data[k])
-        if mode is StabilizationMode.LOW_ORDER_UPWIND:
+        if upwind:
             out[k] = -low_order_term(ops, comp, nu_elem).values
         else:
             out[k] = lps_term(ops, comp, nu_elem, config.c_s).values

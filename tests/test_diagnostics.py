@@ -14,6 +14,7 @@ from lpsflow.diagnostics import (
     stabilization_power,
     write_csv,
 )
+from lpsflow.mesh import build_structured_mesh, periodic_tags
 from lpsflow.operators import GlobalOperators, VectorField
 from lpsflow.stabilization import StabilizationConfig, momentum_stabilization
 
@@ -160,6 +161,54 @@ class TestRecordsAndCsv:
                              t=1.5)
         assert rec.eps == 2.0 * 0.01 * rec.zeta
         assert rec.E_k >= 0.0 and rec.zeta >= 0.0
+
+    @pytest.mark.parametrize("mode", ["upwind", "lps"])
+    @pytest.mark.parametrize("dim,n,p", [(2, 6, 1), (3, 2, 4)])
+    def test_collocated_record_runs_no_element_kernel(self, dim, n, p, mode,
+                                                      monkeypatch):
+        # At a collocated rule a record is quadratic forms with the lumped
+        # mass and the stabilization's DoF-grid form: no gather, no scatter
+        # and no element derivative.
+        def refuse(*args, **kwargs):
+            raise AssertionError("element kernel called")
+
+        for name in ("_gather", "_scatter", "_deriv"):
+            monkeypatch.setattr(GlobalOperators, name, refuse)
+        mesh = periodic_mesh(dim, n, p)
+        ops = GlobalOperators(mesh)
+        x = mesh.node_coords
+        u = VectorField(mesh, np.stack([np.sin(x[:, (k + 1) % dim])
+                                        for k in range(dim)]))
+        rec = compute_record(ops, u, nu=0.01,
+                             stab=StabilizationConfig(mode, 1.0), t=0.0)
+        assert rec.E_k > 0.0 and rec.zeta > 0.0 and rec.stab_power < 0.0
+
+    @pytest.mark.parametrize("spacing,p,over", [
+        ("gll", 4, False), ("equispaced", 3, False), ("gll", 2, True)])
+    def test_records_are_quadrature_of_interpolant(self, spacing, p, over,
+                                                   rng):
+        # Each squared norm u . (M u) is the rule's quadrature of the
+        # interpolant squared, collocated or not (equispaced P3, an
+        # over-integrated rule).
+        tags = periodic_tags(3)
+        tags.update(y_min="wall", y_max="wall")
+        mesh = build_structured_mesh(3, [(0.0, 1.0), (-1.0, 0.5),
+                                         (0.25, 1.0)], (2, 3, 2), p, spacing,
+                                     tags)
+        ops = GlobalOperators(mesh,
+                              mesh.basis.over_integrated() if over else None)
+        u = VectorField(mesh, rng.standard_normal((3, mesh.n_dofs)))
+
+        def quad(data):
+            return sum(ops.integrate(ops.interp_to_quad(v) ** 2) for v in data)
+
+        vol = mesh.domain_volume
+        got = (kinetic_energy(ops, u), enstrophy_dissipation(ops, u, 0.0)[0],
+               divergence_norm(ops, u))
+        want = (0.5 * quad(u.data) / vol, 0.5 * quad(ops.curl(u).data) / vol,
+                np.sqrt(quad(ops.project_divergence(u).values[None])))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w
 
     def test_csv_roundtrip_17_digits(self, tmp_path):
         recs = [

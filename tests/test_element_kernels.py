@@ -1,11 +1,10 @@
 """Dense-oracle checks of the operators at collocated GLL with p >= 4.
 
-There the element derivative of the low-order stabilization contracts the
-1D matrix along one axis of the element array instead of multiplying a
-dense element block; convection and LPS work on the DoF grid; and the
-viscous step is solved directly by fast diagonalization. Each mesh here
-has a different element size on every axis and one axis of a single
-element, which holds its periodic DoF twice.
+There convection and both stabilizations work on the DoF grid from 1D
+matrices per axis, and the viscous step is solved directly by fast
+diagonalization; the element kernels serve the public quadrature-point
+helpers alone. Each mesh here has a different element size on every axis
+and one axis of a single element, which holds its periodic DoF twice.
 """
 
 import numpy as np
@@ -34,7 +33,7 @@ def case(request):
     mesh = build_structured_mesh(dim, extents, elems, p, "gll",
                                  periodic_tags(dim))
     ops = GlobalOperators(mesh)
-    assert ops._single_axis
+    assert ops.basis.collocated and ops.mesh.order >= 4
     return ops, DenseOracle(mesh)
 
 

@@ -123,6 +123,31 @@ class TestLowOrderTerm:
             out = low_order_term(ops, ScalarField(mesh, phi), nu)
             assert phi @ out.values >= -1e-12
 
+    @settings(max_examples=120)
+    @given(dim=st.integers(1, 3), p=st.integers(1, 4), data=st.data())
+    def test_grid_form_equals_element_form(self, dim, p, data):
+        # The DoF-grid form at a collocated rule against the element
+        # kernels it replaces: quad(nu_e grad w . grad phi).
+        elems = data.draw(st.tuples(*[st.integers(1, 3)] * dim))
+        walled = data.draw(st.tuples(*[st.booleans()] * dim))
+        tags = {}
+        for k in range(dim):
+            periodic = not walled[k] and elems[k] * p >= 2
+            for name in face_names(dim)[2 * k:2 * k + 2]:
+                tags[name] = "periodic" if periodic else "wall"
+        extents = [(0.0, 1.0 + 0.5 * k) for k in range(dim)]
+        mesh = build_structured_mesh(dim, extents, elems, p, "gll", tags)
+        ops = GlobalOperators(mesh)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        phi = ScalarField(mesh, rng.standard_normal(mesh.n_dofs))
+        nu = rng.uniform(0.1, 1.0, mesh.n_elems)
+        got = low_order_term(ops, phi, nu).values
+        want = ops.weak_div_flux(ops.grad_at_quad(phi.values),
+                                 elem_scale=nu).values
+        scale = max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert phi.values @ got >= -1e-12 * scale
+
 
 class TestLpsTerm:
     def test_cs_zero(self, rng):
@@ -319,22 +344,24 @@ class TestMomentumStabilization:
         want = DenseOracle(mesh).momentum_stabilization(u.data, "lps", 0.6)
         assert np.allclose(s.data, want, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["upwind", "lps"])
     @pytest.mark.parametrize("dim,n,p", [(2, 6, 1), (3, 2, 4)])
-    def test_collocated_lps_runs_no_element_kernel(self, dim, n, p,
+    def test_collocated_lps_runs_no_element_kernel(self, dim, n, p, mode,
                                                    monkeypatch):
-        # At a collocated rule LPS is the face form on the DoF grid: no
-        # gather, no scatter and no projected gradient.
+        # At a collocated rule both stabilizations are forms on the DoF
+        # grid: no gather, no scatter, no element derivative and no
+        # projected gradient.
         def refuse(*args, **kwargs):
             raise AssertionError("element kernel called")
 
-        for name in ("_gather", "_scatter", "project_gradient"):
+        for name in ("_gather", "_scatter", "_deriv", "project_gradient"):
             monkeypatch.setattr(GlobalOperators, name, refuse)
         mesh = periodic_mesh(dim, n, p)
         ops = GlobalOperators(mesh)
         x = mesh.node_coords
         u = VectorField(mesh, np.stack([np.sin(x[:, (k + 1) % dim])
                                         for k in range(dim)]))
-        s = momentum_stabilization(ops, u, StabilizationConfig("lps", 1.0))
+        s = momentum_stabilization(ops, u, StabilizationConfig(mode, 1.0))
         assert np.sum(u.data * s.data) < 0.0
 
     def test_shear_layer_support_near_layers(self):

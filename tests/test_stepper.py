@@ -656,8 +656,8 @@ class TestStep:
     @pytest.mark.parametrize("n, p", [(3, 2), (2, 4)])
     def test_collocated_step_runs_no_element_kernel(self, n, p, monkeypatch):
         # In 3D at a collocated rule every operator of a step, the viscous
-        # one included, works on the DoF grid: no gather, no scatter and no
-        # element derivative.
+        # one and either stabilization included, works on the DoF grid: no
+        # gather, no scatter and no element derivative.
         def refuse(*args, **kwargs):
             raise AssertionError("element kernel called")
 
@@ -672,15 +672,16 @@ class TestStep:
                                         * np.cos(2 * np.pi * x[:, (k + 2) % 3])
                                         for k in range(3)]))
 
-        def step(nu):
+        def step(nu, mode):
             st = make_stepper(mesh, nu=nu, dt=1e-2, rk="ssprk3",
-                              stab=StabilizationConfig("lps", 1.0))
+                              stab=StabilizationConfig(mode, 1.0))
             return st.step(u, 0.0)[0].data
 
-        viscous = step(0.05)
-        assert np.all(np.isfinite(viscous))
-        # The viscous step ran: the same step at nu = 0 differs.
-        assert np.max(np.abs(viscous - step(0.0))) > 1e-4
+        for mode in ("upwind", "lps"):
+            viscous = step(0.05, mode)
+            assert np.all(np.isfinite(viscous))
+            # The viscous step ran: the same step at nu = 0 differs.
+            assert np.max(np.abs(viscous - step(0.0, mode))) > 1e-4
 
 
 class TestWalledFlow:
