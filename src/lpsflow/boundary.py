@@ -10,6 +10,7 @@ Corner precedence: where a wall meets an outflow, the outflow pressure
 Dirichlet wins for p and the wall value wins for the velocity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,10 @@ class OutflowConfig:
     beta: float = 0.1
 
     def __post_init__(self):
-        if not self.U0 > 0:
-            raise ValueError(f"U0 must be positive, got {self.U0}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        for name in ("U0", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def _union_dofs(mesh, faces):

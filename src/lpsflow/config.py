@@ -212,8 +212,11 @@ class RunConfig:
             v[("physics", "nu")] = 0.0
 
         # Automatic time step from the CFL target, snapped to divide t_end.
+        target = v[("scheme", "auto_dt_cfl")]
+        if not (math.isfinite(target) and target > 0.0):
+            raise ConfigError("[scheme] auto_dt_cfl must be finite and "
+                              f"positive, got {target}")
         if v[("scheme", "dt")] <= 0.0 and self.case != "manufactured_poisson":
-            target = v[("scheme", "auto_dt_cfl")]
             extents = self.domain_extents()
             h_min = min(
                 (b - a) / nk for (a, b), nk in zip(extents, v[("mesh", "n")])

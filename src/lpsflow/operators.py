@@ -18,9 +18,9 @@ gradient and divergence. Convection there is evaluated on the DoF grid
 from the same projected derivatives, since the lumped scatter of W f is
 M_L f at the nodes; ``project_convection`` keeps it nodal. Both
 stabilizations at a collocated rule are weighted forms of 1D broken
-derivatives per axis (``face_jumps``): the low-order one of every
-element's own derivative, the projection one of its jumps across element
-faces. So a collocated step runs no element kernel.
+derivatives per axis (``face_jumps``), F^T (W * F phi): the low-order one
+of every element's own derivative, the projection one of its jumps across
+element faces. So a collocated step runs no element kernel.
 
 Off collocation (equispaced p >= 3, over-integrated rules) convection and
 LPS, and at any rule the public quadrature-point helpers, are an element
@@ -363,10 +363,13 @@ class GlobalOperators:
         """Weighted residual (integral against every test function) of fn(x)."""
         pts = self.quadrature_coords()
         fvals = np.asarray(fn(pts.reshape(-1, self.mesh.dim)), dtype=float)
-        fvals = fvals.reshape(self.mesh.n_elems, self._nqd)
-        return ScalarField(self.mesh,
-                           self._scatter(self._deriv(fvals * self._wq,
-                                                     transpose=True)))
+        return ScalarField(self.mesh, self._assemble(
+            fvals.reshape(self.mesh.n_elems, self._nqd)))
+
+    def _assemble(self, qvals):
+        """Weighted residual quad(l_i f) of values f given at the
+        quadrature points, (E, nq^dim)."""
+        return self._scatter(self._deriv(qvals * self._wq, transpose=True))
 
     # -- spec operators ----------------------------------------------------
 
@@ -463,10 +466,7 @@ class GlobalOperators:
             return _convection(form, u.data, lambda v: v, self._partial,
                                lambda f: f, out)
         return _convection(form, [self._gather(v) for v in u.data],
-                           self._deriv, self._deriv,
-                           lambda f: self._scatter(
-                               self._deriv(f * self._wq, transpose=True)),
-                           out)
+                           self._deriv, self._deriv, self._assemble, out)
 
     def curl(self, u: VectorField) -> VectorField:
         """Nodal vorticity via lumped-mass projection of curl u.
@@ -534,15 +534,11 @@ class GlobalOperators:
         - C (faces x n_k): the jump B[right, 0] - B[left, p] of the
           one-sided derivative on every inter-element face. A periodic axis
           has N_k faces, a non-periodic one only its N_k - 1 interior faces.
-        - S_left, S_right (n_k x faces): carry a face value back into the
-          left element through beta D[p]^T and into the right one through
-          -beta D[0]^T, beta = w_0 w_p / (w_0 + w_p).
         - X (n_k x N_k): element values to nodes, entries w h_k / 2.
         - left, right: the element index on either side of every face.
         """
         mesh, b = self.mesh, self.basis
         D, w, p = b.quad_diff_matrix, b.quad_weights, b.order
-        beta = w[0] * w[p] / (w[0] + w[p])
         out = []
         for k in range(mesh.dim):
             h, n = mesh.h_axes[k], mesh.dofs_per_axis[k]
@@ -552,14 +548,10 @@ class GlobalOperators:
             np.add.at(broken, (rows, ids[:, None, :]), (2.0 / h) * D)
             left = np.arange(n_el if mesh.periodic[k] else n_el - 1)
             right = (left + 1) % n_el
-            faces = np.arange(left.size)[:, None]
             jump = broken[right * (p + 1)] - broken[left * (p + 1) + p]
-            s_left, s_right = np.zeros((n, left.size)), np.zeros((n, left.size))
-            np.add.at(s_left, (ids[left], faces), beta * D[p])
-            np.add.at(s_right, (ids[right], faces), -beta * D[0])
             expand = np.zeros((n, n_el))
             np.add.at(expand, (ids, np.arange(n_el)[:, None]), (0.5 * h) * w)
-            out.append((broken, jump, s_left, s_right, expand, left, right))
+            out.append((broken, jump, expand, left, right))
         return out
 
     @cached_property

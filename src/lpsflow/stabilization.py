@@ -6,23 +6,23 @@ projection option (LPS) penalizes only the difference between the discrete
 gradient and its continuous (lumped-projected) counterpart g_h, which is
 what keeps the added dissipation small and shrinking with p.
 
-At a collocated rule (GLL, or equispaced p <= 2) both terms are weighted
-forms of the 1D matrices of :attr:`GlobalOperators.face_jumps` on the
-(z, y, x) DoF grid. The low-order term is, per axis, B^T (Omega * B phi),
-with B every element's own derivative at its nodes and Omega nu_e times
-their quadrature weights (Deville, Fischer & Mund 2002, sec. 4). For LPS
-the gradient difference is zero at element-interior nodes. On an
-inter-element face with normal axis k it is
-the jump J = (2/h_k)(D[0] phi_right - D[p] phi_left) of the one-sided
-normal derivative, times w_0 / (w_0 + w_p) on the left element and
--w_p / (w_0 + w_p) on the right (both 1/2, the rule being symmetric);
-g_h is one-sided on a boundary face, so the difference is zero there.
-LPS is then an interior penalty on gradient jumps (Burman & Hansbo 2004,
-Braack & Burman 2006): per axis, the jumps C phi, weighted by c_s nu_e and
-the tangential quadrature weights of the elements either side, and spread
-back by S_left and S_right. Off collocation (equispaced p >= 3,
-over-integrated rules) both terms are assembled by element kernels at the
-quadrature points.
+LPS is the symmetric form -c_s sum_e nu_e ((grad - g_h) w, (grad - g_h)
+phi)_e (Braack & Burman 2006), negative semidefinite for any nu_e >= 0 like
+the fractional step's own stabilization (Codina 2001); with nu_e constant
+it equals the one-sided c_s (nu_e grad w, g_h phi - grad phi).
+
+At a collocated rule (GLL, or equispaced p <= 2) both terms are, per axis
+k, F^T (W * F phi) on the (z, y, x) DoF grid, with the 1D matrices of
+:attr:`GlobalOperators.face_jumps`. The low-order term takes F = B, every
+element's own derivative at its nodes, and W nu_e times their quadrature
+weights (Deville, Fischer & Mund 2002, sec. 4). For LPS, g_h phi - grad phi
+is zero except on inter-element faces normal to k (g_h is one-sided on a
+boundary face). There it is w_0 J / (w_0 + w_p) on the left element's node
+and -w_p J / (w_0 + w_p) on the right's, J the jump of the one-sided
+normal derivative; so F = C, the jumps, and W carries those squared
+shares: an interior penalty on gradient jumps (Burman & Hansbo 2004). Off
+collocation (equispaced p >= 3, over-integrated rules) both terms are
+assembled by element kernels at the quadrature points.
 
 Sign convention: ``momentum_stabilization`` returns the term as added to the
 right-hand side of the explicit prediction step, i.e. oriented so that
@@ -105,68 +105,71 @@ def low_order_term(ops: GlobalOperators, phi: ScalarField,
 
 
 def _grid_weights(ops: GlobalOperators, nu_elem, c, upwind):
-    """Per axis k, F and the (R, W) pairs of ``_grid_form``. W is c nu_e
-    times the tangential quadrature weights (X of every other axis), taken
-    either side of every face for LPS (F = C, R = S_left, S_right), or
-    repeated over the element nodes times w h_k / 2 for the low-order
-    term (F = B, R = B^T)."""
+    """Per axis k, the (F, W) of ``_grid_form``, from V = c nu_e times the
+    tangential quadrature weights (X of every other axis). The low-order
+    term takes B and V over each element's nodes times w h_k / 2; LPS
+    takes C and (h_k / 2) beta (w_0 V_left + w_p V_right) / (w_0 + w_p),
+    V either side of every face, beta = w_0 w_p / (w_0 + w_p)."""
     mesh = ops.mesh
-    dim, p = mesh.dim, mesh.order
+    dim, p, w = mesh.dim, mesh.order, ops.basis.quad_weights
     nu = c * np.asarray(nu_elem, dtype=float).reshape(
         mesh.elems_per_axis[::-1])
     out = []
-    for k, (broken, jump, s_left, s_right, _, left, right) in enumerate(
-            ops.face_jumps):
+    for k, (broken, jump, _, left, right) in enumerate(ops.face_jumps):
         ax = dim - 1 - k
         v = nu
         for a in range(dim):
             if a != k:
-                v = apply_along_axis(ops.face_jumps[a][4], v, dim - 1 - a)
+                v = apply_along_axis(ops.face_jumps[a][2], v, dim - 1 - a)
         if upwind:
-            node_w = np.tile((0.5 * mesh.h_axes[k]) * ops.basis.quad_weights,
+            node_w = np.tile((0.5 * mesh.h_axes[k]) * w,
                              mesh.elems_per_axis[k])
             omega = apply_along_axis(node_w, np.repeat(v, p + 1, axis=ax), ax)
-            out.append((broken, ((broken.T, omega),)))
+            out.append((broken, omega))
         else:
-            out.append((jump, ((s_left, np.take(v, left, axis=ax)),
-                               (s_right, np.take(v, right, axis=ax)))))
+            scale = 0.5 * mesh.h_axes[k] * w[0] * w[p] / (w[0] + w[p]) ** 2
+            out.append((jump, scale * (w[0] * np.take(v, left, axis=ax)
+                                       + w[p] * np.take(v, right, axis=ax))))
     return out
 
 
 def _grid_form(ops: GlobalOperators, values, weights):
     """A stabilization form of one nodal field on the DoF grid: per axis k,
-    sum over (R, W) of R (W * F phi), each matrix contracted along axis k."""
+    F^T (W * F phi), both matrices contracted along axis k."""
     dim = ops.mesh.dim
     grid = values.reshape(ops.mesh.dofs_per_axis[::-1])
     out = np.zeros_like(grid)
-    for k, (mat, pairs) in enumerate(weights):
+    for k, (mat, w) in enumerate(weights):
         ax = dim - 1 - k
-        f = apply_along_axis(mat, grid, ax)
-        for spread, w in pairs:
-            out += apply_along_axis(spread, f * w, ax)
+        out += apply_along_axis(mat.T, w * apply_along_axis(mat, grid, ax), ax)
     return out.ravel()
 
 
 def lps_term(ops: GlobalOperators, phi: ScalarField, nu_elem: np.ndarray,
              c_s: float) -> ScalarField:
-    """Projection term: c_s * quad(nu_e grad w . (g_h(phi) - grad phi)).
+    """Projection term: -c_s sum_e nu_e ((grad - g_h) w, (grad - g_h) phi)_e.
 
-    ``g_h`` is :meth:`GlobalOperators.project_gradient`, the lumped-mass
-    projected gradient that the pressure correction applies. At a
-    collocated rule the term is evaluated in its face form (module
-    docstring); otherwise by element kernels at the quadrature points.
+    ``g_h`` is :meth:`GlobalOperators.project_gradient`, the projected
+    gradient that the pressure correction applies. At a collocated rule the
+    term is a face form (module docstring). Otherwise, with f = g_h phi -
+    grad phi at the quadrature points, it is c_s [quad(nu_e grad w . f) -
+    sum_k G_k^T M_L^-1 a_k], a_k = quad(nu_e w f_k) assembled and G_k the
+    weak partial of axis k.
     """
     if c_s == 0.0:
         return ScalarField(ops.mesh)
     if ops.basis.collocated:
         return ScalarField(ops.mesh, _grid_form(
-            ops, phi.values, _grid_weights(ops, nu_elem, c_s, False)))
+            ops, phi.values, _grid_weights(ops, nu_elem, -c_s, False)))
+    nu = np.asarray(nu_elem, dtype=float)
     g = ops.project_gradient(phi).data
     flux = [ops.interp_to_quad(g_k) - grad_q
             for g_k, grad_q in zip(g, ops.grad_at_quad(phi.values))]
-    out = ops.weak_div_flux(flux, elem_scale=np.asarray(nu_elem, dtype=float))
-    out.values *= c_s
-    return out
+    out = ops.weak_div_flux(flux, elem_scale=nu).values
+    for k, f in enumerate(flux):
+        a_k = ops._assemble(nu[:, None] * f) * ops._inv_lumped
+        out -= ops._kron_term(a_k, k, ops.axis_matrices[k][2].T)
+    return ScalarField(ops.mesh, c_s * out)
 
 
 def momentum_stabilization(ops: GlobalOperators, u: VectorField,
@@ -175,7 +178,7 @@ def momentum_stabilization(ops: GlobalOperators, u: VectorField,
 
     One shared element viscosity is computed from the velocity magnitude and
     applied to each component; at a collocated rule it is expanded once to
-    the DoF-grid weights, which carry the low-order term's minus sign.
+    the DoF-grid weights, which carry the term's sign.
     Returned with the dissipative orientation for a right-hand-side term
     (see module docstring).
     """
@@ -186,8 +189,8 @@ def momentum_stabilization(ops: GlobalOperators, u: VectorField,
     nu_elem = upwind_viscosity(ops, u)
     upwind = mode is StabilizationMode.LOW_ORDER_UPWIND
     if ops.basis.collocated:
-        weights = _grid_weights(ops, nu_elem, -1.0 if upwind else config.c_s,
-                                upwind)
+        weights = _grid_weights(ops, nu_elem,
+                                -(1.0 if upwind else config.c_s), upwind)
         return VectorField(ops.mesh, np.stack(
             [_grid_form(ops, v, weights) for v in u.data]))
     out = np.empty_like(u.data)

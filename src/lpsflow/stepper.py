@@ -87,8 +87,8 @@ class TimeScheme:
     def __post_init__(self, cg_tol):
         if not (math.isfinite(self.t_end) and self.t_end > 0):
             raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.rk not in RK_STAGES:
             names = ", ".join(sorted(RK_STAGES))
             raise ValueError(f"unknown rk scheme {self.rk!r} (expected: {names})")

@@ -13,6 +13,7 @@ boundary tests check the backflow-compensated datum.
 """
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -177,20 +178,29 @@ class DenseOracle:
         return out
 
     def lps(self, phi_vals, nu_elem, c_s):
-        g = self.project_gradient(phi_vals)
-        n = self.mesh.n_dofs
-        out = np.zeros(n)
-        for e in range(self.mesh.n_elems):
-            dofs = self.mesh.elem_to_dofs[e]
-            loc = phi_vals[dofs]
-            gloc = g[:, dofs]
-            for q in range(self.nq):
-                for k in range(self.mesh.dim):
-                    diff = self.phi[q] @ gloc[k] - self.dphi[k, q] @ loc
-                    np.add.at(out, dofs, (
-                        c_s * nu_elem[e] * self.wq[q] * diff * self.dphi[k, q]
-                    ))
-        return out
+        """-c_s sum_e nu_e ((grad - g_h) w, (grad - g_h) phi)_e as
+        -c_s R^T (nu_e w_q * R phi), R one row per (element, axis k,
+        quadrature point): d_k l_i - g_h,k(l_i) there, for every i."""
+        rows, row_elem, row_quad = self._lps_rows
+        weight = nu_elem[row_elem] * self.wq[row_quad]
+        return -c_s * (rows.T @ (weight * (rows @ phi_vals)))
+
+    @cached_property
+    def _lps_rows(self):
+        mesh = self.mesh
+        proj = [g / self.lumped[:, None] for g in self.grad]  # w -> g_h(w)
+        rows, row_elem = [], []
+        for e in range(mesh.n_elems):
+            dofs = mesh.elem_to_dofs[e]
+            for k in range(mesh.dim):
+                # Row q: d_k l_i - g_h,k(l_i) at quadrature point q.
+                block = -self.phi @ proj[k][dofs, :]
+                for j, dof in enumerate(dofs):
+                    block[:, dof] += self.dphi[k, :, j]
+                rows.append(block)
+                row_elem.append(np.full(self.nq, e))
+        row_quad = np.tile(np.arange(self.nq), len(rows))
+        return np.concatenate(rows), np.concatenate(row_elem), row_quad
 
     def momentum_stabilization(self, udata, mode, c_s=1.0):
         if mode == "none":

@@ -210,6 +210,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.resolve({("case", "name"): "tgv3d"}, {seckey: value})
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_auto_dt_cfl_must_be_finite_and_positive(self, value):
+        # 0 and inf used to divide by zero and nan to fail in math.ceil;
+        # -1 was reported as a negative dt, a key the user did not set.
+        with pytest.raises(ConfigError, match=r"\[scheme\] auto_dt_cfl"):
+            RunConfig.resolve({("case", "name"): "tgv3d"},
+                              {("scheme", "auto_dt_cfl"): value})
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_dt_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="dt"):
+            RunConfig.resolve({("case", "name"): "tgv2d"},
+                              {("scheme", "dt"): value})
+
     def test_overrides_win_over_file(self):
         cfg = RunConfig.resolve(
             {("case", "name"): "shear_layer", ("scheme", "dt"): "0.01"},
@@ -536,7 +550,10 @@ class TestCli:
                                           "mesh.n=0", "mesh.n=8,0",
                                           "scheme.t_end=nan",
                                           "scheme.t_end=-1",
-                                          "physics.V0=nan"])
+                                          "physics.V0=nan",
+                                          "scheme.auto_dt_cfl=0",
+                                          "scheme.auto_dt_cfl=nan",
+                                          "scheme.dt=inf"])
     def test_run_rejects_what_check_config_rejects(self, tmp_path, capsys,
                                                     override):
         path = tmp_path / "c.ini"

@@ -329,6 +329,14 @@ def test_outflow_config_validation():
         OutflowConfig(beta=-1.0)
 
 
+@pytest.mark.parametrize("field", ["U0", "beta"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+def test_outflow_config_must_be_finite_and_positive(field, value):
+    # An infinite U0 or beta made the backflow switch 0.5 at any u_n.
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        OutflowConfig(**{field: value})
+
+
 def test_normals_are_unit():
     mesh = walled_mesh(3, 2, 1)
     for f in mesh.boundary_faces.values():

@@ -17,6 +17,7 @@ from lpsflow.diagnostics import (
 from lpsflow.mesh import build_structured_mesh, periodic_tags
 from lpsflow.operators import GlobalOperators, VectorField
 from lpsflow.stabilization import StabilizationConfig, momentum_stabilization
+from lpsflow.stepper import PhysicalParams, Stepper, TimeScheme
 
 from conftest import periodic_mesh
 
@@ -148,6 +149,24 @@ class TestStabilizationPower:
         u2 = VectorField(mesh, u.data + dt * s.data / ops.lumped_mass)
         de_dt = (kinetic_energy(ops, u2) - kinetic_energy(ops, u)) / dt
         assert abs(de_dt - power) < 1e-4 * abs(power)
+
+    def test_tgv_records_never_gain_energy_from_lps(self):
+        # Acceptance 4's TGV on 8^3 GLL P4, recorded after every step: the
+        # element viscosity varies between elements, and LPS must still
+        # only remove energy. The one-sided form's power turns positive
+        # from t ~ 0.5.
+        mesh = periodic_mesh(3, 8, 4)
+        ops = GlobalOperators(mesh)
+        nu, stab = 1.0 / 1600.0, StabilizationConfig("lps", 1.0)
+        st = Stepper(ops, PhysicalParams(nu),
+                     TimeScheme(dt=0.15 * mesh.h_axes[0] / 4, rk="ssprk3"),
+                     stabilization=stab, convective_form="skew")
+        u, t, powers = init_tgv3d(mesh), 0.0, []
+        while t < 1.2:
+            u, rep = st.step(u, t)
+            t = rep.t
+            powers.append(compute_record(ops, u, nu, stab, t).stab_power)
+        assert max(powers) <= 0.0
 
 
 class TestRecordsAndCsv:

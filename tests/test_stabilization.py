@@ -30,6 +30,20 @@ def sin_product_field(mesh):
     return ScalarField(mesh, vals)
 
 
+def _drawn_box(dim, p, spacing, data):
+    """A box of 1-3 elements per axis, each axis walled or periodic as
+    drawn, and walled where a periodic axis would hold one DoF."""
+    elems = data.draw(st.tuples(*[st.integers(1, 3)] * dim))
+    walled = data.draw(st.tuples(*[st.booleans()] * dim))
+    tags = {}
+    for k in range(dim):
+        periodic = not walled[k] and elems[k] * p >= 2
+        for name in face_names(dim)[2 * k:2 * k + 2]:
+            tags[name] = "periodic" if periodic else "wall"
+    extents = [(0.0, 1.0 + 0.5 * k) for k in range(dim)]
+    return build_structured_mesh(dim, extents, elems, p, spacing, tags)
+
+
 class TestUpwindViscosity:
     def test_zero_velocity(self):
         mesh = periodic_mesh(2, 4, 2)
@@ -214,32 +228,48 @@ class TestLpsTerm:
             want = dense.lps(phi, nu, 0.7)
             assert np.allclose(got, want, atol=1e-12), mesh
 
-    @settings(max_examples=40)
+    @settings(max_examples=120)
     @given(dim=st.integers(1, 3), p=st.integers(1, 4), data=st.data())
     def test_face_form_equals_element_form(self, dim, p, data):
-        # The face form against the element kernels it replaces at a
-        # collocated rule: c_s quad(nu_e grad w . (g_h - grad phi)).
-        elems = data.draw(st.tuples(*[st.integers(1, 3)] * dim))
-        walled = data.draw(st.tuples(*[st.booleans()] * dim))
-        tags = {}
-        for k in range(dim):
-            periodic = not walled[k] and elems[k] * p >= 2
-            for name in face_names(dim)[2 * k:2 * k + 2]:
-                tags[name] = "periodic" if periodic else "wall"
-        extents = [(0.0, 1.0 + 0.5 * k) for k in range(dim)]
-        mesh = build_structured_mesh(dim, extents, elems, p, "gll", tags)
+        # The face form at a collocated rule against the symmetric form at
+        # the quadrature points: psi . s(phi) = -c_s sum_k sum_e nu_e
+        # (f_k(psi), f_k(phi))_e, with f_k = g_h,k - d/dx_k.
+        mesh = _drawn_box(dim, p, "gll", data)
         ops = GlobalOperators(mesh)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        phi = ScalarField(mesh, rng.standard_normal(mesh.n_dofs))
+        phi, psi = rng.standard_normal((2, mesh.n_dofs))
         nu = rng.uniform(0.1, 1.0, mesh.n_elems)
-        got = lps_term(ops, phi, nu, 0.7).values
-        g = ops.project_gradient(phi).data
-        flux = [ops.interp_to_quad(g_k) - grad_q
-                for g_k, grad_q in zip(g, ops.grad_at_quad(phi.values))]
-        want = 0.7 * ops.weak_div_flux(flux, elem_scale=nu).values
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(
-            np.max(np.abs(want)), 1.0)
-        assert phi.values @ got <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+        got = lps_term(ops, ScalarField(mesh, phi), nu, 0.7).values
+
+        def diff(v):
+            g = ops.project_gradient(ScalarField(mesh, v)).data
+            return [ops.interp_to_quad(g_k) - grad_q
+                    for g_k, grad_q in zip(g, ops.grad_at_quad(v))]
+
+        want = -0.7 * sum(ops.integrate(nu[:, None] * a * b)
+                          for a, b in zip(diff(psi), diff(phi)))
+        assert abs(psi @ got - want) <= 1e-12 * max(np.abs(psi) @ np.abs(got),
+                                                    1.0)
+        assert phi @ got <= 1e-12 * max(np.abs(phi) @ np.abs(got), 1.0)
+
+    @settings(max_examples=120)
+    @given(dim=st.integers(1, 3), rule=st.sampled_from(
+        ["gll", "equispaced", "over-integrated"]), data=st.data())
+    def test_dissipative_for_any_viscosity(self, dim, rule, data):
+        # phi . s <= 0 with an element viscosity that varies between
+        # elements: collocated GLL p 1-4, equispaced P3 (off the nodes) and
+        # an over-integrated rule, with walls and one-element axes.
+        p = 3 if rule == "equispaced" else data.draw(st.integers(1, 4))
+        mesh = _drawn_box(dim, p, "equispaced" if rule == "equispaced"
+                          else "gll", data)
+        basis = (mesh.basis.over_integrated() if rule == "over-integrated"
+                 else None)
+        ops = GlobalOperators(mesh, basis)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        phi = rng.standard_normal(mesh.n_dofs)
+        nu = rng.uniform(0.1, 1.0, mesh.n_elems)
+        got = lps_term(ops, ScalarField(mesh, phi), nu, 1.0).values
+        assert phi @ got <= 1e-12 * max(np.abs(phi) @ np.abs(got), 1.0)
 
     @pytest.mark.parametrize("dim,elems,p,spacing,over,walls", [
         (2, (3, 2), 3, "equispaced", False, ("x", "y")),

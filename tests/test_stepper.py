@@ -821,3 +821,6 @@ def test_scheme_validation():
     for t_end in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="t_end"):
             TimeScheme(dt=0.1, t_end=t_end)
+    for dt in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            TimeScheme(dt=dt)
