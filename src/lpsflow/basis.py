@@ -231,18 +231,27 @@ def make_basis(p, spacing):
 
 
 def apply_along_axis(mat, values, axis):
-    """Contract ``mat`` (m_out x m_in) with ``values`` along one axis, by
-    one matmul on a (pre, m_in, post) view; on the last axis, where a stack
-    of matrix-vector products would be slow, by values @ mat^T. A 1-D
-    ``mat`` is a diagonal matrix given by its diagonal: it scales."""
+    """Contract ``mat`` (m_out x m_in) with ``values`` along one axis. A
+    1-D ``mat`` is a diagonal matrix given by its diagonal: it scales.
+
+    Along the first and middle axes this is one matmul, mat times a
+    (pre, m_in, post) view. Along the last axis (only unit axes after it)
+    it is a batch of small matmuls over the axis just before it, values
+    (batch, lead, m_in) times mat^T, which the BLAS kernel runs fastest
+    when mat^T is C-contiguous (``mat`` Fortran-ordered): otherwise each
+    call works from a strided view. :class:`~lpsflow.operators.GlobalOperators`
+    stores every matrix it contracts, and the transpose it applies, that way.
+    """
     shape = values.shape
     if mat.ndim == 1:
         return values * mat.reshape(mat.shape + (1,) * (len(shape) - axis - 1))
-    pre, n, post = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
+    n, post = shape[axis], math.prod(shape[axis + 1:])
     if post == 1:
-        out = values.reshape(pre, n) @ mat.T
+        batch = shape[:max(axis - 1, 0)]
+        lead = shape[axis - 1] if axis else 1
+        out = values.reshape(math.prod(batch), lead, n) @ mat.T
     else:
-        out = mat @ values.reshape(pre, n, post)
+        out = mat @ values.reshape(math.prod(shape[:axis]), n, post)
     return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
 
 

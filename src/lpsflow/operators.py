@@ -148,12 +148,19 @@ def _convection(form, fields, at_points, deriv, assemble, out):
     return out
 
 
+def _with_transpose(mat):
+    """``mat`` and the transpose applied with it, both Fortran-ordered: the
+    layout in which ``apply_along_axis`` contracts either along the last
+    axis without copying it."""
+    return np.asfortranarray(mat), np.ascontiguousarray(mat).T
+
+
 def _diagonalized_solve(x, s_axes, inv, first_axis=0):
-    """S (inv * S^T x), each axis's S contracted along consecutive array
-    axes of x starting at ``first_axis``."""
-    x = apply_kron([s.T for s in s_axes], x, first_axis)
+    """S (inv * S^T x), each axis's (S, S^T) contracted along consecutive
+    array axes of x starting at ``first_axis``."""
+    x = apply_kron([s_t for _, s_t in s_axes], x, first_axis)
     x *= inv
-    return apply_kron(s_axes, x, first_axis)
+    return apply_kron([s for s, _ in s_axes], x, first_axis)
 
 
 _held_bytes = 0  # mmap threshold set so far; mallopt is process-wide
@@ -490,14 +497,16 @@ class GlobalOperators:
 
     @cached_property
     def axis_matrices(self):
-        """Per spatial axis k, the 1D stiffness K1, quadrature mass M1 and
-        derivative form G1 = quad(l_i l_j') (no h factor: (h/2)(2/h) = 1).
+        """Per spatial axis k, the 1D stiffness K1, quadrature mass M1,
+        derivative form G1 = quad(l_i l_j') (no h factor: (h/2)(2/h) = 1)
+        and G1^T.
 
-        All three are assembled over axis k's elements with this operator
-        set's rule, with periodic or non-periodic ends. The weak Laplacian
-        is the sum over axes of K1 (x) M1 (x) M1, the weak x-derivative is
-        M1 (x) M1 (x) G1, and the mass of a box face is the product of its
-        tangent axes' M1.
+        All are assembled over axis k's elements with this operator set's
+        rule, with periodic or non-periodic ends, Fortran-ordered like
+        every matrix the operators contract (``_with_transpose``). The weak
+        Laplacian is the sum over axes of K1 (x) M1 (x) M1, the weak
+        x-derivative is M1 (x) M1 (x) G1, and the mass of a box face is the
+        product of its tangent axes' M1.
         """
         mesh, b = self.mesh, self.basis
         w, B, Dq = b.quad_weights, b.eval_matrix, b.quad_diff_matrix
@@ -506,11 +515,11 @@ class GlobalOperators:
             h, n = mesh.h_axes[k], mesh.dofs_per_axis[k]
             ids = mesh._axis_dof_maps[k]
             rows, cols = ids[:, :, None], ids[:, None, :]
-            k1, m1, g1 = (np.zeros((n, n)) for _ in range(3))
+            k1, m1, g1 = (np.zeros((n, n), order="F") for _ in range(3))
             np.add.at(k1, (rows, cols), (2.0 / h) * (Dq.T @ (w[:, None] * Dq)))
             np.add.at(m1, (rows, cols), (0.5 * h) * (B.T @ (w[:, None] * B)))
             np.add.at(g1, (rows, cols), B.T @ (w[:, None] * Dq))
-            out.append((k1, m1, g1))
+            out.append((k1, m1) + _with_transpose(g1))
         return out
 
     @cached_property
@@ -521,7 +530,7 @@ class GlobalOperators:
         the stabilization. The weak x-derivative is then M_L times it
         contracted along x."""
         return [g1 / np.diagonal(m1)[:, None]
-                for _, m1, g1 in self.axis_matrices]
+                for _, m1, g1, _ in self.axis_matrices]
 
     @cached_property
     def face_jumps(self):
@@ -529,13 +538,18 @@ class GlobalOperators:
         collocated rule (:mod:`lpsflow.stabilization`), with D the
         derivative matrix and w the quadrature weights of the basis:
 
-        - B (N_k (p+1) x n_k): the broken derivative, every element's own
-          (2/h_k) D at its nodes; row e (p+1) + i is node i of element e.
-        - C (faces x n_k): the jump B[right, 0] - B[left, p] of the
-          one-sided derivative on every inter-element face. A periodic axis
-          has N_k faces, a non-periodic one only its N_k - 1 interior faces.
+        - (B, B^T), B (N_k (p+1) x n_k): the broken derivative, every
+          element's own (2/h_k) D at its nodes; row e (p+1) + i is node i
+          of element e.
+        - (C, C^T), C (faces x n_k): the jump B[right, 0] - B[left, p] of
+          the one-sided derivative on every inter-element face. A periodic
+          axis has N_k faces, a non-periodic one only its N_k - 1 interior
+          faces.
         - X (n_k x N_k): element values to nodes, entries w h_k / 2.
         - left, right: the element index on either side of every face.
+
+        Each matrix is Fortran-ordered, with its transpose kept beside it
+        (``_with_transpose``).
         """
         mesh, b = self.mesh, self.basis
         D, w, p = b.quad_diff_matrix, b.quad_weights, b.order
@@ -549,16 +563,17 @@ class GlobalOperators:
             left = np.arange(n_el if mesh.periodic[k] else n_el - 1)
             right = (left + 1) % n_el
             jump = broken[right * (p + 1)] - broken[left * (p + 1) + p]
-            expand = np.zeros((n, n_el))
+            expand = np.zeros((n, n_el), order="F")
             np.add.at(expand, (ids, np.arange(n_el)[:, None]), (0.5 * h) * w)
-            out.append((broken, jump, expand, left, right))
+            out.append((_with_transpose(broken), _with_transpose(jump),
+                        expand, left, right))
         return out
 
     @cached_property
     def _axis_masses(self):
         """Per axis M1, as its diagonal (a scaling) if the rule is collocated."""
         return [np.diagonal(m1) if self.basis.collocated else m1
-                for _, m1, _ in self.axis_matrices]
+                for _, m1, _, _ in self.axis_matrices]
 
     def _axis_eigenpairs(self, k, keep):
         """Generalized eigenpairs K1 S = M1 S diag(lam) on axis k's free DoFs.
@@ -567,14 +582,15 @@ class GlobalOperators:
         ``keep``; S is M1-orthonormal (S^T M1 S = I). With R = M1^(-1/2) from
         eigh(M1), the symmetric eigh(R K1 R) = V gives S = R V, for diagonal
         and full M1 alike. eigh sorts lam ascending, so on a pure-Neumann
-        axis lam[0] = 0 is the constant mode.
+        axis lam[0] = 0 is the constant mode. Returns ((S, S^T), lam), laid
+        out by ``_with_transpose``.
         """
-        k1, m1, _ = self.axis_matrices[k]
+        k1, m1 = self.axis_matrices[k][:2]
         k1, m1 = k1[keep, keep], m1[keep, keep]
         mu, q = np.linalg.eigh(m1)
         r = (q / np.sqrt(mu)) @ q.T
         lam, v = np.linalg.eigh(r @ k1 @ r)
-        return r @ v, lam
+        return _with_transpose(r @ v), lam
 
     def free_slices(self, pinned):
         """Per array axis (z, y, x) the slice of the DoF grid left free when
@@ -593,8 +609,8 @@ class GlobalOperators:
         return tuple(keeps)
 
     def _box_factors(self, pinned):
-        """Per array axis (z, y, x) the eigenvectors S and eigenvalues lam
-        on the sub-grid :meth:`free_slices` leaves free of ``pinned`` faces.
+        """Per array axis (z, y, x) the eigenvectors (S, S^T) and eigenvalues
+        lam on the sub-grid :meth:`free_slices` leaves free of ``pinned`` faces.
 
         Factors live in one cache keyed by axis geometry and free slice, so
         equal axes (a cube) and the pressure and diffusion solves of a
@@ -615,8 +631,8 @@ class GlobalOperators:
 
     @cached_property
     def _laplacian_factors(self):
-        """S per array axis for the pressure, whose outflow faces are
-        pinned, and 1 / sum of lam over the free DoFs.
+        """(S, S^T) per array axis for the pressure, whose outflow faces
+        are pinned, and 1 / sum of lam over the free DoFs.
 
         Without any outflow face K is singular and the reciprocal of the
         constant mode (index 0 on every axis) is zero.

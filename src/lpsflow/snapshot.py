@@ -5,11 +5,13 @@ written as zeros so downstream tooling sees a fixed schema.
 
 Each block of numbers is formatted by a single C-level ``%`` call with
 ``%.17g``, which gives the bytes of ``format(v, ".17g")``, ``nan``, ``inf``
-and ``-0`` included. The VTK blocks that depend only on the mesh (the
-coordinates and the zeros of a missing component) are formatted once per
-mesh and cached, keyed weakly by the mesh, so they go when the mesh goes.
+and ``-0`` included. The text that depends only on the mesh is formatted
+once per mesh and cached, keyed weakly by the mesh, so it goes when the
+mesh goes: the VTK coordinate block and the zeros of a missing component,
+and the ``x,y,z,`` that starts each CSV row.
 """
 
+import operator
 import weakref
 
 import numpy as np
@@ -19,6 +21,8 @@ __all__ = ["write_snapshot", "snapshot_writer", "write_vtk", "write_csv_points",
 
 # mesh -> (coordinate block, zero block) of its VTK files
 _MESH_BLOCKS = weakref.WeakKeyDictionary()
+# mesh -> the "x,y,z," text starting each row of its CSV files
+_CSV_PREFIXES = weakref.WeakKeyDictionary()
 
 
 def _block(table, sep=" "):
@@ -40,12 +44,16 @@ def _format_mesh_blocks(mesh):
     return _block(_points3(mesh)), _block(np.zeros(mesh.n_dofs))
 
 
-def _mesh_blocks(mesh):
-    """The mesh's coordinate and zero blocks, formatted on first use."""
-    blocks = _MESH_BLOCKS.get(mesh)
-    if blocks is None:
-        blocks = _MESH_BLOCKS[mesh] = _format_mesh_blocks(mesh)
-    return blocks
+def _format_csv_prefixes(mesh):
+    return [row + "," for row in _block(_points3(mesh), ",").splitlines()]
+
+
+def _cached(cache, mesh, make):
+    """``cache``'s text for ``mesh``, made by ``make(mesh)`` on first use."""
+    text = cache.get(mesh)
+    if text is None:
+        text = cache[mesh] = make(mesh)
+    return text
 
 
 def _point_arrays(mesh, velocity, pressure):
@@ -63,7 +71,7 @@ def write_vtk(path, mesh, velocity=None, pressure=None, title="flow snapshot"):
     for k in range(mesh.dim):
         dims[k] = mesh.dofs_per_axis[k]
     n = mesh.n_dofs
-    points, zeros = _mesh_blocks(mesh)
+    points, zeros = _cached(_MESH_BLOCKS, mesh, _format_mesh_blocks)
     parts = [f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET STRUCTURED_GRID\n"
              f"DIMENSIONS {dims[0]} {dims[1]} {dims[2]}\nPOINTS {n} double\n",
              points, f"POINT_DATA {n}\n"]
@@ -80,9 +88,11 @@ def write_csv_points(path, mesh, velocity=None, pressure=None):
     zeros = np.zeros(mesh.n_dofs)
     columns = [zeros if vals is None else vals
                for vals in _point_arrays(mesh, velocity, pressure).values()]
-    table = np.column_stack([_points3(mesh), *columns])
+    rows = _block(np.column_stack(columns), ",").splitlines(keepends=True)
+    prefixes = _cached(_CSV_PREFIXES, mesh, _format_csv_prefixes)
     with open(path, "w") as fh:
-        fh.write("x,y,z,u,v,w,p\n" + _block(table, ","))
+        fh.write("x,y,z,u,v,w,p\n")
+        fh.writelines(map(operator.add, prefixes, rows))
     return path
 
 

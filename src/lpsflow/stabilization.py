@@ -105,10 +105,10 @@ def low_order_term(ops: GlobalOperators, phi: ScalarField,
 
 
 def _grid_weights(ops: GlobalOperators, nu_elem, c, upwind):
-    """Per axis k, the (F, W) of ``_grid_form``, from V = c nu_e times the
-    tangential quadrature weights (X of every other axis). The low-order
-    term takes B and V over each element's nodes times w h_k / 2; LPS
-    takes C and (h_k / 2) beta (w_0 V_left + w_p V_right) / (w_0 + w_p),
+    """Per axis k, the ((F, F^T), W) of ``_grid_form``, from V = c nu_e
+    times the tangential quadrature weights (X of every other axis). The
+    low-order term takes B and V over each element's nodes times w h_k / 2;
+    LPS takes C and (h_k / 2) beta (w_0 V_left + w_p V_right) / (w_0 + w_p),
     V either side of every face, beta = w_0 w_p / (w_0 + w_p)."""
     mesh = ops.mesh
     dim, p, w = mesh.dim, mesh.order, ops.basis.quad_weights
@@ -139,9 +139,9 @@ def _grid_form(ops: GlobalOperators, values, weights):
     dim = ops.mesh.dim
     grid = values.reshape(ops.mesh.dofs_per_axis[::-1])
     out = np.zeros_like(grid)
-    for k, (mat, w) in enumerate(weights):
+    for k, ((mat, mat_t), w) in enumerate(weights):
         ax = dim - 1 - k
-        out += apply_along_axis(mat.T, w * apply_along_axis(mat, grid, ax), ax)
+        out += apply_along_axis(mat_t, w * apply_along_axis(mat, grid, ax), ax)
     return out.ravel()
 
 
@@ -168,7 +168,7 @@ def lps_term(ops: GlobalOperators, phi: ScalarField, nu_elem: np.ndarray,
     out = ops.weak_div_flux(flux, elem_scale=nu).values
     for k, f in enumerate(flux):
         a_k = ops._assemble(nu[:, None] * f) * ops._inv_lumped
-        out -= ops._kron_term(a_k, k, ops.axis_matrices[k][2].T)
+        out -= ops._kron_term(a_k, k, ops.axis_matrices[k][3])
     return ScalarField(ops.mesh, c_s * out)
 
 

@@ -162,11 +162,9 @@ class Stepper:
 
     def inviscid_rhs(self, u: VectorField):
         """-(nodal convection) + M^{-1} stabilization; zero on constrained
-        rows."""
-        # conv stays referenced until the return: freed before the
-        # stabilization, it left the 8^3 P4 heap peak ~0.6 MB higher.
-        conv = self.ops.project_convection(u, self.convective_form)
-        rhs = -conv.data
+        rows. Formed in the convective term's own array."""
+        rhs = self.ops.project_convection(u, self.convective_form).data
+        np.negative(rhs, out=rhs)
         if self.stabilization.mode is not StabilizationMode.NONE:
             s = momentum_stabilization(self.ops, u, self.stabilization).data
             s *= self.ops._inv_lumped
@@ -176,9 +174,13 @@ class Stepper:
         return rhs
 
     def predict(self, u: VectorField, dt=None) -> VectorField:
-        """Explicit prediction u* = u + dt M^{-1}(-L_N(u) + s)."""
+        """Explicit prediction u* = u + dt M^{-1}(-L_N(u) + s), formed in
+        the right-hand side's array."""
         dt = self.scheme.dt if dt is None else dt
-        u_star = VectorField(self.ops.mesh, u.data + dt * self.inviscid_rhs(u))
+        rhs = self.inviscid_rhs(u)
+        rhs *= dt
+        rhs += u.data
+        u_star = VectorField(self.ops.mesh, rhs)
         if not np.all(np.isfinite(u_star.data)):
             raise SolverAbort("non-finite values in predicted velocity")
         return u_star
@@ -197,10 +199,15 @@ class Stepper:
         return solve_poisson(ops, ScalarField(ops.mesh, b), values=values)
 
     def correct(self, u_star: VectorField, p: ScalarField, dt=None) -> VectorField:
-        """Projection update u** = u* - dt g_h(p)."""
+        """Projection update u** = u* - dt g_h(p), one component of the
+        projected gradient g_h at a time."""
         dt = self.scheme.dt if dt is None else dt
-        g = self.ops.project_gradient(p)
-        return VectorField(self.ops.mesh, u_star.data - dt * g.data)
+        out = np.empty_like(u_star.data)
+        for k in range(len(out)):
+            g = self.ops.projected_partial(p.values, k)
+            g *= dt
+            np.subtract(u_star.data[k], g, out=out[k])
+        return VectorField(self.ops.mesh, out)
 
     def diffuse(self, u: VectorField, dt=None) -> VectorField:
         """Implicit theta-step of the viscous term nu Delta u, solved
@@ -213,19 +220,25 @@ class Stepper:
             return u
         ops, mesh = self.ops, self.ops.mesh
         theta = self.scheme.diffusion_theta
+        walls = self.boundary.has_walls  # else every DoF is free
         grid = (mesh.dim, *mesh.dofs_per_axis[::-1])
         free = (slice(None), *ops.free_slices(BoundaryTag.DIRICHLET_WALL))
-        lift = np.array(self.boundary.wall_values, dtype=float)
-        lift.reshape(grid)[free] = 0.0  # the wall velocity, 0 off the walls
-        lifted = lift.any()  # else periodic or no-slip
+        if walls:
+            lift = np.array(self.boundary.wall_values, dtype=float)
+            lift.reshape(grid)[free] = 0.0  # the wall velocity, 0 off the walls
+        lifted = walls and lift.any()  # else no velocity to lift
         rhs = ops.tensor_mass(u.data - lift if lifted else u.data)
         if theta < 1.0 or lifted:
-            v = (1.0 - theta) * u.data + theta * lift
+            v = (1.0 - theta) * u.data
+            if lifted:
+                v += theta * lift
             for m in range(mesh.dim):
                 rhs[m] -= (dt * nu) * ops.weak_laplacian(
                     ScalarField(mesh, v[m])).values
-        solve = ops.diffusion_block_solver(theta * dt * nu)
-        lift.reshape(grid)[free] = solve(rhs.reshape(grid)[free])
+        x = ops.diffusion_block_solver(theta * dt * nu)(rhs.reshape(grid)[free])
+        if not walls:
+            return VectorField(mesh, x.reshape(u.data.shape))
+        lift.reshape(grid)[free] = x
         return VectorField(mesh, lift)  # the walls, and the solution off them
 
     # -- full step ---------------------------------------------------------
@@ -254,7 +267,8 @@ class Stepper:
         for a, b in stages:
             v = self.predict(prev, dt)
             if a != 0.0:  # else b = 1: the stage is the Euler step itself
-                v = VectorField(self.ops.mesh, a * u.data + b * v.data)
+                v.data *= b
+                v.data += a * u.data
             p = self.solve_pressure(v, dt)
             v = self.correct(v, p, dt)
             apply_velocity_dirichlet(v, self.boundary)

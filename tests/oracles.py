@@ -19,6 +19,14 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 
+def close_to(got, want, rel=1e-12):
+    """True when |got - want| <= rel * max(max |want|, 1) everywhere: no
+    relative term per entry, so a check reads as the tolerance it states
+    (``np.allclose`` alone adds its default rtol of 1e-5)."""
+    atol = rel * max(np.max(np.abs(want), initial=0.0), 1)
+    return np.allclose(got, want, rtol=0, atol=atol)
+
+
 def _lagrange_coeffs(nodes):
     """Coefficient rows c[j] with l_j = Polynomial(c[j]) on the given nodes."""
     n = len(nodes)

@@ -369,6 +369,23 @@ class TestSnapshots:
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
         assert b"\n0,0,0,-0,0.10000000000000001,0,nan\n" in path.read_bytes()
 
+        # A 3D walled P2 mesh written in turn with the 2D one: each file
+        # carries its own mesh's cached x,y,z text.
+        mesh3 = walled_mesh(3, (2, 1, 1), 2, length=0.3)
+        n3 = mesh3.n_dofs
+        u3 = VectorField(mesh3, np.resize(specials, (3, n3)) * np.arange(1, n3 + 1))
+        want3 = ["x,y,z,u,v,w,p"]
+        for i, xyz in enumerate(mesh3.node_coords):
+            row = (*xyz, *u3.data[:, i], 0.0)
+            want3.append(",".join(format(v, ".17g") for v in row))
+        want3 = ("\n".join(want3) + "\n").encode()
+        want2 = path.read_bytes()
+        for _ in range(2):
+            write_snapshot(path, mesh3, u3, fmt="csv")
+            assert path.read_bytes() == want3
+            write_snapshot(path, mesh, u, p, fmt="csv")
+            assert path.read_bytes() == want2
+
     def test_csv_roundtrip(self, tmp_path):
         mesh = periodic_mesh(2, 3, 2)
         from lpsflow.operators import ScalarField, VectorField

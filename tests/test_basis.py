@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpsflow.basis import (
+    apply_along_axis,
     differentiation_matrix,
     equispaced_basis,
     gll_basis,
     gll_nodes_weights,
     lagrange_eval_matrix,
 )
+
+from oracles import close_to
 
 
 def test_gll_p1_is_endpoints():
@@ -119,3 +124,48 @@ def test_differentiation_matrix_vs_barycentric_identity():
     D = differentiation_matrix(nodes)
     # Derivative of x^2 sampled at arbitrary nodes.
     assert np.allclose(D @ nodes**2, 2 * nodes, atol=1e-13)
+
+
+def _check_apply_along_axis(mat, values, axis):
+    """apply_along_axis against np.tensordot: the shape exactly, the
+    values to 1e-12 relative with no per-entry relative term."""
+    full = np.diag(mat) if mat.ndim == 1 else mat
+    want = np.moveaxis(np.tensordot(full, values, axes=(1, axis)), 0, axis)
+    got = apply_along_axis(mat, values, axis)
+    assert got.shape == want.shape
+    assert close_to(got, want)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_apply_along_axis_matches_tensordot(data):
+    # 1-4 axes of length 0-5 (zero-length and unit axes included), every
+    # axis, and square, rectangular, C- or F-ordered or diagonal matrices.
+    shape = tuple(data.draw(st.lists(st.integers(0, 5), min_size=1,
+                                     max_size=4), label="shape"))
+    axis = data.draw(st.integers(0, len(shape) - 1), label="axis")
+    layout = data.draw(st.sampled_from(["C", "F", "diagonal"]), label="layout")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = shape[axis]
+    if layout == "diagonal":
+        mat = rng.standard_normal(n)
+    else:
+        m_out = data.draw(st.integers(0, 7), label="m_out")
+        mat = np.asarray(rng.standard_normal((m_out, n)), order=layout)
+    _check_apply_along_axis(mat, rng.standard_normal(shape), axis)
+
+
+@pytest.mark.parametrize("shape,axis,m_out", [
+    ((2, 1), 0, 3),        # trailing unit axis: batch over no axis
+    ((3, 2, 1, 1), 1, 4),  # the batch runs over the axis before `axis`
+    ((2, 3, 4), 2, 0),     # a one-element non-periodic axis has no faces
+    ((2, 3, 4), 1, 0),
+    ((2, 0, 4), 2, 3),     # zero-length batch
+    ((3, 2, 3, 4), 3, 5),  # a leading component axis, as diffuse passes it
+    ((3, 2, 3, 4), 0, 2),
+])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_apply_along_axis_edge_shapes(shape, axis, m_out, order):
+    rng = np.random.default_rng(7)
+    mat = np.asarray(rng.standard_normal((m_out, shape[axis])), order=order)
+    _check_apply_along_axis(mat, rng.standard_normal(shape), axis)

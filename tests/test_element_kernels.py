@@ -15,7 +15,7 @@ from lpsflow.operators import GlobalOperators, ScalarField, VectorField
 from lpsflow.stabilization import StabilizationConfig, lps_term
 from lpsflow.stepper import PhysicalParams, Stepper, TimeScheme
 
-from oracles import DenseOracle
+from oracles import DenseOracle, close_to
 
 MESHES = {
     "2d-p4": ([(0.0, 2.0), (0.0, 1.0)], (3, 1), 4),
@@ -51,7 +51,7 @@ def test_convective_term(case, form, rng):
     udata = rng.standard_normal((ops.mesh.dim, ops.mesh.n_dofs))
     got = ops.convective_term(VectorField(ops.mesh, udata.copy()), form).data
     want = dense.convective(udata, form)
-    assert np.allclose(got, want, atol=1e-12 * max(np.max(np.abs(want)), 1))
+    assert close_to(got, want)
 
 
 @pytest.mark.parametrize("mode", ["none", "upwind", "lps"])
@@ -72,7 +72,7 @@ def test_lps_term(case, rng):
     nu = rng.uniform(0.1, 1.0, mesh.n_elems)
     got = lps_term(ops, ScalarField(mesh, phi.copy()), nu, 0.7).values
     want = dense.lps(phi, nu, 0.7)
-    assert np.allclose(got, want, atol=1e-12 * max(np.max(np.abs(want)), 1))
+    assert close_to(got, want)
 
 
 def test_weak_div_flux_with_elem_scale(case, rng):
@@ -86,7 +86,7 @@ def test_weak_div_flux_with_elem_scale(case, rng):
                     for k in range(mesh.dim))
         np.add.at(want, mesh.elem_to_dofs[e], scale[e] * local)
     got = ops.weak_div_flux(list(flux), elem_scale=scale).values
-    assert np.allclose(got, want, atol=1e-12 * max(np.max(np.abs(want)), 1))
+    assert close_to(got, want)
 
 
 def test_diffuse(case, rng):

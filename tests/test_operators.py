@@ -1,9 +1,15 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpsflow.mesh import build_structured_mesh, face_names, wall_tags
+from lpsflow import basis, operators, stabilization
+from lpsflow.boundary import build_boundary_data
+from lpsflow.mesh import build_structured_mesh, face_names, periodic_tags, wall_tags
 from lpsflow.operators import (
     ConvectiveForm,
     FieldError,
@@ -11,9 +17,11 @@ from lpsflow.operators import (
     ScalarField,
     VectorField,
 )
+from lpsflow.stabilization import StabilizationConfig
+from lpsflow.stepper import PhysicalParams, Stepper, TimeScheme
 
 from conftest import TWO_PI, periodic_mesh, walled_mesh
-from oracles import DenseOracle
+from oracles import DenseOracle, close_to
 
 
 def unit_interval_mesh(n, p, spacing="gll"):
@@ -307,7 +315,7 @@ class TestConvective:
         udata = rng.standard_normal((2, mesh.n_dofs))
         got = ops.convective_term(VectorField(mesh, udata.copy()), form).data
         want = dense.convective(udata, form)
-        assert np.allclose(got, want, atol=1e-12 * max(np.max(np.abs(want)), 1))
+        assert close_to(got, want)
 
     @settings(max_examples=100)
     @given(dim=st.integers(1, 3), p=st.integers(1, 8), data=st.data())
@@ -471,3 +479,52 @@ def test_tgv_vorticity_formula_sanity():
             - np.sin(x) * np.cos(y - h) * np.cos(z)) / (2 * h)
     assert np.allclose(dvdx - dudy, 2 * np.sin(x) * np.sin(y) * np.cos(z),
                        atol=1e-5)
+
+
+class TestMatrixLayout:
+    """apply_along_axis contracts the last axis as batched matmuls against
+    mat^T, which must be C-contiguous for no call to copy the matrix; the
+    operator set stores every matrix it contracts that way, and owns them:
+    no module-level cache keeps it alive."""
+
+    @pytest.mark.parametrize("spacing,p", [("gll", 1), ("gll", 2), ("gll", 3),
+                                           ("gll", 4), ("equispaced", 3)])
+    @pytest.mark.parametrize("bounded", [False, True], ids=["periodic", "walled"])
+    def test_last_axis_matrices_need_no_copy(self, spacing, p, bounded,
+                                             monkeypatch, rng):
+        tags = periodic_tags(3)
+        if bounded:  # walls on y, outflow on z, periodic x
+            tags.update(y_min="wall", y_max="wall", z_min="outflow",
+                        z_max="outflow")
+        mesh = build_structured_mesh(3, [(0.0, 1.0), (-1.0, 0.5), (0.25, 1.0)],
+                                     (2, 3, 2), p, spacing, tags)
+        contracted = []
+        apply = basis.apply_along_axis
+
+        def spy(mat, values, axis):
+            if mat.ndim == 2 and math.prod(values.shape[axis + 1:]) == 1:
+                contracted.append(mat)
+            return apply(mat, values, axis)
+
+        for module in (basis, operators, stabilization):
+            monkeypatch.setattr(module, "apply_along_axis", spy)
+        ops = GlobalOperators(mesh)
+        u = VectorField(mesh, rng.standard_normal((3, mesh.n_dofs)))
+        # A moving wall and theta < 1 take diffuse through the lift and
+        # the weak Laplacian; the walls' nu > 0 takes the pressure through
+        # the curl and the face masses.
+        bdata = build_boundary_data(mesh, wall_velocity=lambda x: np.ones_like(x))
+        for mode in ("lps", "upwind"):
+            stepper = Stepper(
+                ops, PhysicalParams(0.1),
+                TimeScheme(dt=1e-3, rk="heun2", diffusion_theta=0.5,
+                           cfl_limit=np.inf),
+                StabilizationConfig(mode, 1.0), boundary=bdata)
+            stepper.step(u, 0.0)
+        assert contracted
+        assert all(mat.T.flags.c_contiguous for mat in contracted)
+
+        alive = [weakref.ref(obj) for obj in [ops, *contracted]]
+        del ops, stepper, contracted
+        gc.collect()
+        assert not any(ref() is not None for ref in alive)

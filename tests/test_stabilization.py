@@ -20,7 +20,7 @@ from lpsflow.stabilization import (
 )
 
 from conftest import periodic_mesh
-from oracles import DenseOracle
+from oracles import DenseOracle, close_to
 
 
 def sin_product_field(mesh):
@@ -226,7 +226,7 @@ class TestLpsTerm:
             nu = rng.uniform(0.1, 1.0, mesh.n_elems)
             got = lps_term(ops, ScalarField(mesh, phi.copy()), nu, 0.7).values
             want = dense.lps(phi, nu, 0.7)
-            assert np.allclose(got, want, atol=1e-12), mesh
+            assert close_to(got, want), mesh
 
     @settings(max_examples=120)
     @given(dim=st.integers(1, 3), p=st.integers(1, 4), data=st.data())
@@ -358,7 +358,7 @@ class TestMomentumStabilization:
         s = momentum_stabilization(ops, u, cfg)
         dense = DenseOracle(mesh)
         want = dense.momentum_stabilization(u.data, "lps", 1.0)
-        assert np.allclose(s.data, want, atol=1e-12)
+        assert close_to(s.data, want)
 
     def test_3d_matches_dense_oracle(self, rng):
         # Walls on y and outflow on z, a different h on every axis.
@@ -372,7 +372,7 @@ class TestMomentumStabilization:
         u = VectorField(mesh, rng.standard_normal((3, mesh.n_dofs)))
         s = momentum_stabilization(ops, u, StabilizationConfig("lps", 0.6))
         want = DenseOracle(mesh).momentum_stabilization(u.data, "lps", 0.6)
-        assert np.allclose(s.data, want, atol=1e-12)
+        assert close_to(s.data, want)
 
     @pytest.mark.parametrize("mode", ["upwind", "lps"])
     @pytest.mark.parametrize("dim,n,p", [(2, 6, 1), (3, 2, 4)])
