@@ -4,10 +4,11 @@ On a uniform box every constant-coefficient operator is a Kronecker sum of
 1D matrices. Each axis has a stiffness K1, a quadrature mass M1 and a
 derivative form G1 (``axis_matrices``). The weak gradient, divergence,
 Laplacian and curl and the lumped mass contract them along the axes of the
-(z, y, x) DoF grid. The direct pressure and viscous solves and the wall
+(z, y, x) DoF grid. One direct solve of a M + b K (``solve_helmholtz``)
+serves the pressure (a = 0) and the viscous step, and it and the wall
 surface integral use the same K1 and M1, so the Laplacian applied is the
-one inverted; the viscous step's mass is M1 (x) M1 (x) M1
-(``tensor_mass``). No global matrix is stored.
+one inverted; M is M1 (x) M1 (x) M1 (``tensor_mass``). No global matrix is
+stored.
 
 At a collocated rule (GLL, or equispaced p <= 2) the quadrature points
 are the nodes and M1 is diagonal, so the lumped-mass projection of the
@@ -45,18 +46,23 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .basis import Basis1D, apply_along_axis, apply_kron
-from .mesh import BoundaryTag, NameEnum
+from .mesh import NameEnum
 
 __all__ = [
     "ScalarField",
     "VectorField",
     "ConvectiveForm",
     "GlobalOperators",
+    "LinearSolveError",
 ]
 
 
 class FieldError(ValueError):
     """Field/mesh mismatch or invalid field data."""
+
+
+class LinearSolveError(RuntimeError):
+    """A linear solve met data it cannot solve (non-finite right-hand side)."""
 
 
 class ScalarField:
@@ -251,7 +257,7 @@ class GlobalOperators:
         self.lumped_mass = self._assemble_lumped_mass()
         self._inv_lumped = 1.0 / self.lumped_mass
         self._eigenpairs = {}  # see _box_factors
-        self._diffusion_solver = (None, None)  # last c and its solver
+        self._diagonals = {}  # see solve_helmholtz
         # A step's largest array, a stacked vector field. The element-array
         # term stays because the heap sizing TestHeldHeap pins was tuned on it.
         self._step_bytes = 8 * max(mesh.n_elems * self._nqd,
@@ -300,11 +306,13 @@ class GlobalOperators:
         return blocks
 
     def _kron_term(self, values, k, mat):
-        """Flat nodal values times ``mat`` (K1 or G1 of axis k) on axis k
-        and M1 on every other axis of the (z, y, x) DoF grid."""
+        """Flat or stacked (ncomp, n_dofs) nodal values times ``mat`` (K1
+        or G1 of axis k) on axis k and M1 on every other axis of the
+        (z, y, x) DoF grid."""
         mats = [mat if j == k else self._axis_masses[j]
                 for j in reversed(range(self.mesh.dim))]
-        return apply_kron(mats, values.reshape(self._grid)).ravel()
+        return apply_kron(mats, values.reshape((-1,) + self._grid),
+                          first_axis=1).reshape(values.shape)
 
     def _partial(self, values, k):
         """d/dx_k of flat nodal values in the cheaper of two forms: at a
@@ -414,13 +422,17 @@ class GlobalOperators:
              for k in range(self.mesh.dim)]))
 
     def weak_laplacian(self, phi: ScalarField) -> ScalarField:
-        """Stiffness action quad(grad w . grad phi), SPD sign convention:
-        the sum over axes of K1 on axis k and M1 on the others, the matrix
-        that :meth:`solve_laplacian` inverts."""
+        """Stiffness action quad(grad w . grad phi), SPD sign convention
+        (:meth:`tensor_stiffness`)."""
         _check_same_mesh(self.mesh, phi)
-        return ScalarField(self.mesh, sum(
-            self._kron_term(phi.values, k, self.axis_matrices[k][0])
-            for k in range(self.mesh.dim)))
+        return ScalarField(self.mesh, self.tensor_stiffness(phi.values))
+
+    def tensor_stiffness(self, data):
+        """The weak Laplacian K applied to flat or stacked (ncomp, n_dofs)
+        nodal values: the sum over axes k of K1 on axis k and M1 on the
+        others, the K that :meth:`solve_helmholtz` inverts."""
+        return sum(self._kron_term(data, k, self.axis_matrices[k][0])
+                   for k in range(self.mesh.dim))
 
     def tensor_mass(self, data):
         """M1 (x) M1 (x) M1 applied to stacked (ncomp, n_dofs) nodal values:
@@ -629,64 +641,57 @@ class GlobalOperators:
             lams.append(lam)
         return s_axes, lams
 
-    @cached_property
-    def _laplacian_factors(self):
-        """(S, S^T) per array axis for the pressure, whose outflow faces
-        are pinned, and 1 / sum of lam over the free DoFs.
+    def solve_helmholtz(self, rhs, a, b, pinned, values=None):
+        """Solution x of (a M + b K) x = rhs for stacked (ncomp, n_dofs)
+        right-hand sides, M and K as :meth:`tensor_mass` and
+        :meth:`tensor_stiffness` apply them.
 
-        Without any outflow face K is singular and the reciprocal of the
-        constant mode (index 0 on every axis) is zero.
-        """
-        s_axes, lams = self._box_factors(BoundaryTag.OUTFLOW)
-        lam_sum = sum(np.ix_(*lams))
-        if lam_sum.size == self.mesh.n_dofs:
-            lam_sum[(0,) * self.mesh.dim] = np.inf
-        return s_axes, 1.0 / lam_sum
-
-    def diffusion_block_solver(self, c):
-        """Inverse of M + c K for every velocity component at once.
-
-        K is the weak Laplacian and M = M1 (x) M1 (x) M1 (:meth:`tensor_mass`),
-        both restricted to the sub-grid off the walls. In the M1-orthonormal
+        The DoFs of every face tagged ``pinned`` hold ``values`` (stacked
+        like ``rhs``, zero if omitted), lifted into the right-hand side; the
+        rows of ``rhs`` there are not used. The free DoFs form the sub-grid
+        :meth:`free_slices` leaves, where in the M1-orthonormal
         eigenvectors S of every axis the operator is the diagonal
-        1 + c (lam_x + lam_y + lam_z). The returned callable maps r of shape
-        (dim, *free shape) to S (1 + c lam)^-1 S^T r, all components
-        contracted together. The solver of the last c is kept.
+        a + b (lam_x + lam_y + lam_z): the solve is a contraction with S^T
+        per axis, a divide and a contraction with S per axis (Lynch, Rice &
+        Thomas 1964). With a = 0 and nothing pinned the operator is
+        singular: the Euclidean mean is removed from rhs first and from x
+        last, the convention of mean-deflated CG. The diagonal of the last
+        (a, b) is kept per pinned tag.
         """
-        if c == self._diffusion_solver[0]:
-            return self._diffusion_solver[1]
-        s_axes, lams = self._box_factors(BoundaryTag.DIRICHLET_WALL)
-        inv = 1.0 / (1.0 + c * sum(np.ix_(*lams)))
-
-        def solve(r):
-            return _diagonalized_solve(r, s_axes, inv, first_axis=1)
-
-        self._diffusion_solver = (c, solve)
-        return solve
-
-    def solve_laplacian(self, values):
-        """Solution p of the weak Laplacian system K p = b, zero on outflow.
-
-        K is the sum over axes of K1 (x) M1 (x) M1. Dropping the rows and
-        columns of the outflow faces (corners included) leaves the same sum
-        over each axis's free indices, so with the per-axis eigenvectors S
-        the solve is a contraction with S^T per axis, a divide by
-        lam_x + lam_y + lam_z and a contraction with S per axis (Lynch, Rice
-        & Thomas 1964). Without an outflow face K is singular: the Euclidean
-        mean is removed from b first and from p last, the convention of
-        mean-deflated CG.
-        """
-        s_axes, inv_lam = self._laplacian_factors
-        free = self.free_slices(BoundaryTag.OUTFLOW)
-        singular = inv_lam.size == self.mesh.n_dofs
+        cached = self._diagonals.get(pinned)
+        if cached is None or cached[0] != (a, b):
+            s_axes, lams = self._box_factors(pinned)
+            diag = sum(np.ix_(*lams))
+            diag *= b
+            diag += a
+            if a == 0 and diag.size == self.mesh.n_dofs:
+                diag[(0,) * self.mesh.dim] = np.inf  # drop the constant mode
+            cached = ((a, b), self.free_slices(pinned), s_axes, 1.0 / diag)
+            self._diagonals[pinned] = cached
+        _, free, s_axes, inv = cached
+        shape = (len(rhs),) + self._grid
+        full = inv.size == self.mesh.n_dofs  # nothing pinned
+        free = (slice(None),) + free
+        if not full:
+            x = np.zeros(shape)
+            if values is not None:
+                x[...] = np.reshape(values, shape)
+                x[free] = 0.0  # the pinned values, 0 off the pinned faces
+            if x.any():
+                lift = x.reshape(rhs.shape)
+                rhs = rhs - b * self.tensor_stiffness(lift)
+                if a:
+                    rhs -= a * self.tensor_mass(lift)
+        if not np.isfinite(rhs.sum()):
+            raise LinearSolveError("non-finite right-hand side in the direct "
+                                   "solve")
+        singular = a == 0 and full
         if singular:
-            values = values - values.mean()
-        x = _diagonalized_solve(values.reshape(self._grid)[free], s_axes,
-                                inv_lam)
-        if singular:
-            x = x.ravel()
-            return x - x.mean()
-        out = np.zeros(self._grid)
-        out[free] = x
-        return out.ravel()
-
+            rhs = rhs - rhs.mean(axis=1, keepdims=True)
+        sol = _diagonalized_solve(rhs.reshape(shape)[free], s_axes, inv,
+                                  first_axis=1)
+        if not full:
+            x[free] = sol
+            return x.reshape(rhs.shape)
+        sol = sol.reshape(rhs.shape)
+        return sol - sol.mean(axis=1, keepdims=True) if singular else sol

@@ -8,15 +8,19 @@ Poisson solve then projects v_s with the projected gradient g_h that LPS
 stabilization also uses, and the linear diffusion term is folded in
 implicitly once per step.
 
-All linear systems are SPD and solved directly, by fast diagonalization of
-their Kronecker structure. For the pressure, outflow faces pin the
-pressure, and without them the constant null space is dropped. The viscous
-term is taken in Laplacian form, nu Delta u, which equals the divergence
-of nu (grad u + grad u^T) on divergence-free fields, so every velocity
-component sees the same operator M + c K with M = M1 (x) M1 (x) M1
-(:meth:`GlobalOperators.diffusion_block_solver`). It is solved on the DoFs
-off the walls, a Cartesian sub-grid of the DoF grid, with the wall
-velocity lifted into the right-hand side.
+Both linear systems are SPD and take one direct solve,
+:meth:`GlobalOperators.solve_helmholtz` of (a M + b K) x = r, by fast
+diagonalization of their Kronecker structure on the Cartesian sub-grid of
+DoFs off the pinned faces, with the values there lifted into the
+right-hand side. The pressure is a = 0, b = 1 with the outflow faces
+pinned; without them the constant null space is dropped. The viscous term
+is taken in Laplacian form, nu Delta u, which equals the divergence of
+nu (grad u + grad u^T) on divergence-free fields, so every velocity
+component sees the same operator M + theta dt nu K, with M = M1 (x) M1 (x)
+M1 and the walls pinned at the wall velocity.
+
+The pressure a step keeps is the last stage's divided by that stage's b:
+the stage's u* carries only b dt of the step's forcing.
 """
 
 import math
@@ -34,7 +38,13 @@ from .boundary import (
     wall_pressure_neumann,
 )
 from .mesh import BoundaryTag
-from .operators import ConvectiveForm, GlobalOperators, ScalarField, VectorField
+from .operators import (
+    ConvectiveForm,
+    GlobalOperators,
+    LinearSolveError,
+    ScalarField,
+    VectorField,
+)
 from .stabilization import StabilizationConfig, StabilizationMode, momentum_stabilization
 
 __all__ = [
@@ -63,10 +73,6 @@ class SolverAbort(RuntimeError):
 
 class CflError(SolverAbort):
     pass
-
-
-class LinearSolveError(RuntimeError):
-    """A linear solve met data it cannot solve (non-finite right-hand side)."""
 
 
 @dataclass
@@ -120,24 +126,16 @@ class StepReport:
 def solve_poisson(ops: GlobalOperators, rhs: ScalarField, *, values=None):
     """Solve the SPD weak Laplacian system K p = rhs; returns p.
 
-    The solve is direct (:meth:`GlobalOperators.solve_laplacian`).
-    ``values`` gives the pressure on the outflow faces, whose DoFs are
-    pinned (zero if omitted); it is lifted into the right-hand side.
+    The solve is direct (:meth:`GlobalOperators.solve_helmholtz` with
+    a = 0). ``values`` gives the pressure on the outflow faces, whose DoFs
+    are pinned (zero if omitted); it is lifted into the right-hand side.
     Without an outflow face the system is pure Neumann and the returned
-    pressure has zero Euclidean mean.
+    pressure has zero Euclidean mean. Raises :class:`LinearSolveError` on
+    a non-finite right-hand side.
     """
-    mesh = ops.mesh
-    b = rhs.values
-    if not np.isfinite(b.sum()):
-        raise LinearSolveError("non-finite right-hand side in the direct "
-                               "Poisson solve")
-    if values is None:
-        return ScalarField(mesh, ops.solve_laplacian(b))
-    lift = np.array(values, dtype=float).reshape(mesh.dofs_per_axis[::-1])
-    lift[ops.free_slices(BoundaryTag.OUTFLOW)] = 0.0
-    lift = lift.ravel()
-    b = b - ops.weak_laplacian(ScalarField(mesh, lift)).values
-    return ScalarField(mesh, ops.solve_laplacian(b) + lift)
+    p = ops.solve_helmholtz(rhs.values[None], 0.0, 1.0, BoundaryTag.OUTFLOW,
+                            values)
+    return ScalarField(ops.mesh, p[0])
 
 
 class Stepper:
@@ -210,36 +208,22 @@ class Stepper:
         return VectorField(self.ops.mesh, out)
 
     def diffuse(self, u: VectorField, dt=None) -> VectorField:
-        """Implicit theta-step of the viscous term nu Delta u, solved
-        directly per component on the sub-grid of DoFs off the walls:
-        (M + theta dt nu K) x = M u - (1 - theta) dt nu K u, with the wall
-        velocity lifted into the right-hand side."""
+        """Implicit theta-step of the viscous term nu Delta u, one direct
+        solve of (M + theta dt nu K) x = M u - (1 - theta) dt nu K u for
+        every component, with the walls held at the wall velocity."""
         dt = self.scheme.dt if dt is None else dt
         nu = self.physics.nu
         if nu == 0.0:
             return u
-        ops, mesh = self.ops, self.ops.mesh
+        ops = self.ops
         theta = self.scheme.diffusion_theta
-        walls = self.boundary.has_walls  # else every DoF is free
-        grid = (mesh.dim, *mesh.dofs_per_axis[::-1])
-        free = (slice(None), *ops.free_slices(BoundaryTag.DIRICHLET_WALL))
-        if walls:
-            lift = np.array(self.boundary.wall_values, dtype=float)
-            lift.reshape(grid)[free] = 0.0  # the wall velocity, 0 off the walls
-        lifted = walls and lift.any()  # else no velocity to lift
-        rhs = ops.tensor_mass(u.data - lift if lifted else u.data)
-        if theta < 1.0 or lifted:
-            v = (1.0 - theta) * u.data
-            if lifted:
-                v += theta * lift
-            for m in range(mesh.dim):
-                rhs[m] -= (dt * nu) * ops.weak_laplacian(
-                    ScalarField(mesh, v[m])).values
-        x = ops.diffusion_block_solver(theta * dt * nu)(rhs.reshape(grid)[free])
-        if not walls:
-            return VectorField(mesh, x.reshape(u.data.shape))
-        lift.reshape(grid)[free] = x
-        return VectorField(mesh, lift)  # the walls, and the solution off them
+        rhs = ops.tensor_mass(u.data)
+        if theta < 1.0:
+            rhs -= (dt * nu) * ops.tensor_stiffness((1.0 - theta) * u.data)
+        x = ops.solve_helmholtz(rhs, 1.0, theta * dt * nu,
+                                BoundaryTag.DIRICHLET_WALL,
+                                self.boundary.wall_values)
+        return VectorField(ops.mesh, x)
 
     # -- full step ---------------------------------------------------------
 
@@ -275,7 +259,8 @@ class Stepper:
             if not np.all(np.isfinite(v.data)):
                 raise SolverAbort("non-finite values after projection stage")
             prev = v
-            self.pressure = p
+            self.pressure = p  # frees the last step's before the next stage
+        p.values /= b  # the last stage's u* carried b dt of the forcing
         u_next = self.diffuse(prev, dt)
         if not np.all(np.isfinite(u_next.data)):
             raise SolverAbort("non-finite values after diffusion")
