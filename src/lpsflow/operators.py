@@ -42,6 +42,7 @@ arrays land in another order grows into resident pages.
 
 import ctypes
 from functools import cached_property, reduce
+from operator import iadd
 
 import numpy as np
 
@@ -137,19 +138,25 @@ def _convection(form, fields, at_points, deriv, assemble, out):
             out[m] = assemble(div_flux)
         return out
 
+    # Products accumulate in the fresh partials: uq may be u's own rows.
     uq = [at_points(f) for f in fields]
-    grads = [[deriv(fields[m], k) for k in range(dim)]
-             for m in range(dim)]  # grads[m][k] = d u_m / d x_k
+    diag = [deriv(fields[k], k) for k in range(dim)]  # d u_k / d x_k
     if form is ConvectiveForm.SKEW_SYMMETRIC:
-        div_q = grads[0][0]
-        for k in range(1, dim):
-            div_q = div_q + grads[k][k]
+        half_div = diag[0].copy()
+        for d in diag[1:]:
+            half_div += d
+        half_div *= 0.5
     for m in range(dim):
-        adv = uq[0] * grads[m][0]
+        grads = [diag[m] if k == m else deriv(fields[m], k)
+                 for k in range(dim)]  # grads[k] = d u_m / d x_k
+        adv = grads[0]
+        adv *= uq[0]
         for k in range(1, dim):
-            adv += uq[k] * grads[m][k]
-        if form is ConvectiveForm.SKEW_SYMMETRIC:
-            adv += 0.5 * uq[m] * div_q
+            grads[k] *= uq[k]
+            adv += grads[k]
+        if form is ConvectiveForm.SKEW_SYMMETRIC:  # in a spent partial
+            adv += np.multiply(uq[m], half_div,
+                               out=grads[-1] if dim > 1 else None)
         out[m] = assemble(adv)
     return out
 
@@ -400,7 +407,7 @@ class GlobalOperators:
         return ScalarField(self.mesh, self._nodal(self._divergence(u.data)))
 
     def _divergence(self, data):
-        return sum(self._partial(data[k], k) for k in range(self.mesh.dim))
+        return reduce(iadd, map(self._partial, data, range(self.mesh.dim)))
 
     def weak_gradient(self, p: ScalarField) -> VectorField:
         """Assembled residual of the gradient, one component per axis."""
@@ -431,8 +438,8 @@ class GlobalOperators:
         """The weak Laplacian K applied to flat or stacked (ncomp, n_dofs)
         nodal values: the sum over axes k of K1 on axis k and M1 on the
         others, the K that :meth:`solve_helmholtz` inverts."""
-        return sum(self._kron_term(data, k, self.axis_matrices[k][0])
-                   for k in range(self.mesh.dim))
+        return reduce(iadd, (self._kron_term(data, k, self.axis_matrices[k][0])
+                             for k in range(self.mesh.dim)))
 
     def tensor_mass(self, data):
         """M1 (x) M1 (x) M1 applied to stacked (ncomp, n_dofs) nodal values:

@@ -20,8 +20,9 @@ is zero except on inter-element faces normal to k (g_h is one-sided on a
 boundary face). There it is w_0 J / (w_0 + w_p) on the left element's node
 and -w_p J / (w_0 + w_p) on the right's, J the jump of the one-sided
 normal derivative; so F = C, the jumps, and W carries those squared
-shares: an interior penalty on gradient jumps (Burman & Hansbo 2004). Off
-collocation (equispaced p >= 3, over-integrated rules) both terms are
+shares: an interior penalty on gradient jumps (Burman & Hansbo 2004). W
+takes its axis-k step on the element grid, then its tangential expansion.
+Off collocation (equispaced p >= 3, over-integrated rules) both terms are
 assembled by element kernels at the quadrature points.
 
 Sign convention: ``momentum_stabilization`` returns the term as added to the
@@ -31,6 +32,7 @@ right-hand side of the explicit prediction step, i.e. oriented so that
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import iadd, imul
 
 import numpy as np
 
@@ -76,10 +78,7 @@ def upwind_viscosity(ops: GlobalOperators, u: VectorField) -> np.ndarray:
     """
     mesh = ops.mesh
     p = mesh.order
-    speed2 = np.zeros(mesh.n_dofs)
-    for k in range(u.ncomp):
-        speed2 += u.data[k] ** 2
-    v = speed2.reshape(mesh.dofs_per_axis[::-1])
+    v = np.einsum("kn,kn->n", u.data, u.data).reshape(mesh.dofs_per_axis[::-1])
     for k in reversed(range(mesh.dim)):  # the unit-stride x axis last
         ax, stop = mesh.dim - 1 - k, mesh.elems_per_axis[k] * p
         lead = (slice(None),) * ax
@@ -105,11 +104,11 @@ def low_order_term(ops: GlobalOperators, phi: ScalarField,
 
 
 def _grid_weights(ops: GlobalOperators, nu_elem, c, upwind):
-    """Per axis k, the ((F, F^T), W) of ``_grid_form``, from V = c nu_e
-    times the tangential quadrature weights (X of every other axis). The
-    low-order term takes B and V over each element's nodes times w h_k / 2;
-    LPS takes C and (h_k / 2) beta (w_0 V_left + w_p V_right) / (w_0 + w_p),
-    V either side of every face, beta = w_0 w_p / (w_0 + w_p)."""
+    """Per axis k, the ((F, F^T), W) of ``_grid_form`` from V = c nu_e,
+    formed on the element grid first: the low-order term's B and V times
+    w h_k / 2 at each element's nodes, or LPS's C and (h_k / 2) beta (w_0
+    V_left + w_p V_right) / (w_0 + w_p) at every face, beta = w_0 w_p /
+    (w_0 + w_p). X of every other axis then expands it tangentially."""
     mesh = ops.mesh
     dim, p, w = mesh.dim, mesh.order, ops.basis.quad_weights
     nu = c * np.asarray(nu_elem, dtype=float).reshape(
@@ -117,31 +116,31 @@ def _grid_weights(ops: GlobalOperators, nu_elem, c, upwind):
     out = []
     for k, (broken, jump, _, left, right) in enumerate(ops.face_jumps):
         ax = dim - 1 - k
-        v = nu
+        if upwind:
+            node_w = np.tile(0.5 * mesh.h_axes[k] * w, mesh.elems_per_axis[k])
+            mats, v = broken, apply_along_axis(
+                node_w, np.repeat(nu, p + 1, axis=ax), ax)
+        else:
+            scale = 0.5 * mesh.h_axes[k] * w[0] * w[p] / (w[0] + w[p]) ** 2
+            mats, v = jump, scale * (w[0] * np.take(nu, left, axis=ax)
+                                     + w[p] * np.take(nu, right, axis=ax))
         for a in range(dim):
             if a != k:
                 v = apply_along_axis(ops.face_jumps[a][2], v, dim - 1 - a)
-        if upwind:
-            node_w = np.tile((0.5 * mesh.h_axes[k]) * w,
-                             mesh.elems_per_axis[k])
-            omega = apply_along_axis(node_w, np.repeat(v, p + 1, axis=ax), ax)
-            out.append((broken, omega))
-        else:
-            scale = 0.5 * mesh.h_axes[k] * w[0] * w[p] / (w[0] + w[p]) ** 2
-            out.append((jump, scale * (w[0] * np.take(v, left, axis=ax)
-                                       + w[p] * np.take(v, right, axis=ax))))
+        out.append((mats, v))
     return out
 
 
 def _grid_form(ops: GlobalOperators, values, weights):
     """A stabilization form of one nodal field on the DoF grid: per axis k,
     F^T (W * F phi), both matrices contracted along axis k."""
-    dim = ops.mesh.dim
     grid = values.reshape(ops.mesh.dofs_per_axis[::-1])
-    out = np.zeros_like(grid)
+    out = None
     for k, ((mat, mat_t), w) in enumerate(weights):
-        ax = dim - 1 - k
-        out += apply_along_axis(mat_t, w * apply_along_axis(mat, grid, ax), ax)
+        ax = grid.ndim - 1 - k
+        term = apply_along_axis(
+            mat_t, imul(apply_along_axis(mat, grid, ax), w), ax)
+        out = term if out is None else iadd(out, term)
     return out.ravel()
 
 
@@ -188,12 +187,13 @@ def momentum_stabilization(ops: GlobalOperators, u: VectorField,
         return VectorField(ops.mesh, ncomp=u.ncomp)
     nu_elem = upwind_viscosity(ops, u)
     upwind = mode is StabilizationMode.LOW_ORDER_UPWIND
+    out = np.empty_like(u.data)
     if ops.basis.collocated:
         weights = _grid_weights(ops, nu_elem,
                                 -(1.0 if upwind else config.c_s), upwind)
-        return VectorField(ops.mesh, np.stack(
-            [_grid_form(ops, v, weights) for v in u.data]))
-    out = np.empty_like(u.data)
+        for k, v in enumerate(u.data):
+            out[k] = _grid_form(ops, v, weights)
+        return VectorField(ops.mesh, out)
     for k in range(u.ncomp):
         comp = ScalarField(ops.mesh, u.data[k])
         if upwind:

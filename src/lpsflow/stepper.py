@@ -25,7 +25,7 @@ the stage's u* carries only b dt of the step's forcing.
 
 import math
 import time
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -121,6 +121,8 @@ class StepReport:
     poisson_iters: tuple  # one 0 per stage: the pressure solve is direct
     diffusion_iters: int  # 0: the viscous solve is direct
     wall_seconds: float
+    # perf_counter s: rhs, correct (summed), pressure (per stage), diffuse
+    phase_seconds: dict = field(default_factory=dict)
 
 
 def solve_poisson(ops: GlobalOperators, rhs: ScalarField, *, values=None):
@@ -178,16 +180,16 @@ class Stepper:
         rhs = self.inviscid_rhs(u)
         rhs *= dt
         rhs += u.data
-        u_star = VectorField(self.ops.mesh, rhs)
-        if not np.all(np.isfinite(u_star.data)):
+        if not np.isfinite(rhs.sum()):
             raise SolverAbort("non-finite values in predicted velocity")
-        return u_star
+        return VectorField(self.ops.mesh, rhs)
 
     def solve_pressure(self, u_star: VectorField, dt=None) -> ScalarField:
         """Weak Poisson solve for the stage pressure from div(u*)/dt."""
         dt = self.scheme.dt if dt is None else dt
         ops, bdata = self.ops, self.boundary
-        b = -(1.0 / dt) * ops.weak_divergence(u_star).values
+        b = ops.weak_divergence(u_star).values
+        b *= -(1.0 / dt)
         if bdata.has_walls and self.physics.nu > 0 and ops.mesh.dim >= 2:
             flux = wall_pressure_neumann(ops, bdata, u_star, self.physics.nu)
             b += poisson_boundary_term(ops, bdata, flux).values
@@ -232,7 +234,7 @@ class Stepper:
         if limit == np.inf:  # the guard is off
             return
         mesh = self.ops.mesh
-        speed = np.sqrt(np.max(np.sum(u.data**2, axis=0)))
+        speed = np.sqrt(np.max(np.einsum("kn,kn->n", u.data, u.data)))
         cfl = dt * speed * mesh.order / min(mesh.h_axes)
         if cfl > limit:
             raise CflError(
@@ -242,34 +244,45 @@ class Stepper:
 
     def step(self, u: VectorField, t: float, dt=None):
         """Advance one time step of size dt (default ``scheme.dt``);
-        returns (u_next, StepReport)."""
+        returns (u_next, StepReport). A non-finite check reads one sum, so
+        a finite field whose sum overflows (|u| ~ 1e303) aborts too."""
         t0 = time.perf_counter()
         dt = self.scheme.dt if dt is None else dt
         self.check_cfl(u, dt)
         stages = RK_STAGES[self.scheme.rk]
         prev = u
+        phases = {"rhs": 0.0, "pressure": (), "correct": 0.0}
         for a, b in stages:
+            t1 = time.perf_counter()
             v = self.predict(prev, dt)
             if a != 0.0:  # else b = 1: the stage is the Euler step itself
                 v.data *= b
                 v.data += a * u.data
+            t2 = time.perf_counter()
             p = self.solve_pressure(v, dt)
+            t3 = time.perf_counter()
             v = self.correct(v, p, dt)
             apply_velocity_dirichlet(v, self.boundary)
-            if not np.all(np.isfinite(v.data)):
+            if not np.isfinite(v.data.sum()):
                 raise SolverAbort("non-finite values after projection stage")
             prev = v
             self.pressure = p  # frees the last step's before the next stage
+            phases["rhs"] += t2 - t1
+            phases["pressure"] += (t3 - t2,)
+            phases["correct"] += time.perf_counter() - t3
         p.values /= b  # the last stage's u* carried b dt of the forcing
+        t1 = time.perf_counter()
         u_next = self.diffuse(prev, dt)
-        if not np.all(np.isfinite(u_next.data)):
+        if not np.isfinite(u_next.data.sum()):
             raise SolverAbort("non-finite values after diffusion")
+        phases["diffuse"] = time.perf_counter() - t1
         report = StepReport(
             t=t + dt,
             dt=dt,
             poisson_iters=(0,) * len(stages),
             diffusion_iters=0,
             wall_seconds=time.perf_counter() - t0,
+            phase_seconds=phases,
         )
         self.ops.reserve_heap()  # once, after the first step
         return u_next, report

@@ -18,7 +18,7 @@ from lpsflow.operators import (
     ScalarField,
     VectorField,
 )
-from lpsflow.stabilization import StabilizationConfig
+from lpsflow.stabilization import StabilizationConfig, momentum_stabilization
 from lpsflow.stepper import (
     RK_STAGES,
     CflError,
@@ -725,6 +725,30 @@ class TestStep:
         assert rep.diffusion_iters == 0
         assert rep.wall_seconds > 0.0
 
+    @pytest.mark.parametrize("rk", sorted(RK_STAGES))
+    def test_phase_seconds_fit_in_the_step(self, rk):
+        mesh = walled_mesh(2, 3, 2)
+        st = make_stepper(mesh, nu=0.01, dt=0.01, rk=rk,
+                          stab=StabilizationConfig("lps", 1.0))
+        x = mesh.node_coords
+        u = VectorField(mesh, np.stack([np.sin(np.pi * x[:, 1]),
+                                        np.zeros(mesh.n_dofs)]))
+        _, rep = st.step(u, 0.0)
+        phases = rep.phase_seconds
+        assert set(phases) == {"rhs", "pressure", "correct", "diffuse"}
+        assert len(phases["pressure"]) == len(RK_STAGES[rk])
+        spent = [phases["rhs"], *phases["pressure"], phases["correct"],
+                 phases["diffuse"]]
+        assert all(s > 0.0 for s in spent)
+        assert sum(spent) <= rep.wall_seconds
+
+    def test_report_fields_keep_their_positions(self):
+        # phase_seconds comes last with a default, so a report built from
+        # the older five fields still works.
+        rep = lpsflow.stepper.StepReport(1.0, 0.1, (0,), 0, 0.5)
+        assert rep.phase_seconds == {}
+        assert [f.name for f in fields(rep)][-1] == "phase_seconds"
+
     @pytest.mark.parametrize("n, p", [(3, 2), (2, 4)])
     def test_collocated_step_runs_no_element_kernel(self, n, p, monkeypatch):
         # In 3D at a collocated rule every operator of a step, the viscous
@@ -754,6 +778,93 @@ class TestStep:
             assert np.all(np.isfinite(viscous))
             # The viscous step ran: the same step at nu = 0 differs.
             assert np.max(np.abs(viscous - step(0.0, mode))) > 1e-4
+
+
+_BAD_VALUES = {
+    # NaN in the last entry of one component.
+    "nan-last": ((1, -1, np.nan),),
+    # +inf and -inf in two components: their sum is NaN, not inf.
+    "inf-minus-inf": ((0, 3, np.inf), (1, 5, -np.inf)),
+}
+
+
+class TestNonFiniteChecks:
+    """Each check of ``Stepper.step`` reads one sum of its field."""
+
+    @staticmethod
+    def _spoiled(data, bad):
+        data = np.array(data)
+        for comp, i, value in bad:
+            data[comp, i] = value
+        return data
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("bad", list(_BAD_VALUES), ids=list(_BAD_VALUES))
+    @pytest.mark.parametrize("where, message", [
+        ("inviscid_rhs", "non-finite values in predicted velocity"),
+        ("correct", "non-finite values after projection stage"),
+        ("diffuse", "non-finite values after diffusion"),
+    ], ids=["prediction", "stage", "diffusion"])
+    def test_aborts_with_its_message(self, where, message, bad, monkeypatch):
+        mesh = periodic_mesh(2, 4, 2)
+        st = make_stepper(mesh, nu=0.01, dt=0.01, rk="heun2")
+        x = mesh.node_coords[:, 0]
+        u = VectorField(mesh, np.stack([np.sin(x), np.cos(x)]))
+        inner = getattr(st, where)
+
+        def spoil(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            if isinstance(out, VectorField):
+                return VectorField(mesh, self._spoiled(out.data,
+                                                       _BAD_VALUES[bad]))
+            return self._spoiled(out, _BAD_VALUES[bad])
+
+        monkeypatch.setattr(st, where, spoil)
+        with pytest.raises(SolverAbort, match=f"^{message}$"):
+            st.step(u, 0.0)
+
+
+_INPUT_MESHES = {
+    "periodic-2d-gll-p1": periodic_mesh(2, 5, 1),
+    "walled-2d-gll-p1": walled_mesh(2, 4, 1),
+    "periodic-3d-gll-p4": periodic_mesh(3, 2, 4),
+    "walled-2d-gll-p4": walled_mesh(2, 2, 4),
+    "zwalled-3d-gll-p4": build_structured_mesh(
+        3, [(0.0, 1.0)] * 3, (2, 1, 2), 4, "gll",
+        dict(periodic_tags(3), z_min="wall", z_max="wall")),
+    "periodic-2d-equi-p3": periodic_mesh(2, 3, 3, spacing="equispaced"),
+    "walled-3d-equi-p3": walled_mesh(3, 2, 3, spacing="equispaced"),
+}
+
+
+class TestKernelsLeaveTheirInputAlone:
+    """At a collocated rule convection takes the rows of u.data themselves
+    as its values at the points, so an in-place product there would change
+    the state a step starts from."""
+
+    @pytest.mark.parametrize("mesh", list(_INPUT_MESHES.values()),
+                             ids=list(_INPUT_MESHES))
+    def test_u_data_bitwise_unchanged(self, mesh, rng):
+        ops = GlobalOperators(mesh)
+        u = VectorField(mesh, rng.standard_normal((mesh.dim, mesh.n_dofs)))
+        before = u.data.copy()
+
+        def unchanged():
+            return np.array_equal(u.data, before)
+
+        for form in ("conservative", "nonconservative", "skew"):
+            ops.project_convection(u, form)
+            assert unchanged(), f"project_convection {form}"
+            ops.convective_term(u, form)
+            assert unchanged(), f"convective_term {form}"
+        for mode in ("upwind", "lps"):
+            momentum_stabilization(ops, u, StabilizationConfig(mode, 1.0))
+            assert unchanged(), f"momentum_stabilization {mode}"
+            for form in ("conservative", "nonconservative", "skew"):
+                st = make_stepper(mesh, nu=0.01, dt=1e-3, form=form,
+                                  stab=StabilizationConfig(mode, 1.0))
+                st.predict(u)
+                assert unchanged(), f"predict {form} {mode}"
 
 
 class TestWalledFlow:
