@@ -1,10 +1,11 @@
 """Boundary conditions: velocity walls, pressure Neumann data, outflow.
 
 Walls impose the velocity strongly and feed the pressure Poisson problem a
-Neumann datum in rotational form, dp/dn = -nu n . curl(curl u). Outflow
-boundaries get a traction-derived pressure Dirichlet value with a
-tanh-smoothed compensation that switches on under backflow; no velocity
-condition is applied there.
+Neumann datum in rotational form, dp/dn = -nu n . curl(curl u), formed
+from the face slices and the rows next to them, so its cost is sized by
+the faces. Outflow boundaries get a traction-derived pressure Dirichlet
+value with a tanh-smoothed compensation that switches on under backflow;
+no velocity condition is applied there.
 
 Corner precedence: where a wall meets an outflow, the outflow pressure
 Dirichlet wins for p and the wall value wins for the velocity.
@@ -107,44 +108,50 @@ def dong_smoothing(u_n, cfg: OutflowConfig):
     return 0.5 * (1.0 - np.tanh(np.asarray(u_n, dtype=float) / (cfg.U0 * cfg.beta)))
 
 
-def _double_curl(ops: GlobalOperators, u: VectorField) -> VectorField:
-    """curl(curl u) with both curls taken by lumped projection."""
-    omega = ops.curl(u)
-    if ops.mesh.dim == 2:
-        # The plane curl of a scalar is its rotated gradient (g_y, -g_x).
-        w = omega.data[0]
-        return VectorField(ops.mesh, np.stack([ops.projected_partial(w, 1),
-                                               -ops.projected_partial(w, 0)]))
-    return ops.curl(omega)
-
-
 def wall_pressure_neumann(ops: GlobalOperators, bdata: BoundaryData,
                           u: VectorField, nu: float):
     """Rotational-form pressure flux on every wall face.
 
     Returns {face name: flux at face.dof_ids} with
-    flux = -nu n . curl(curl u), evaluated from the latest available
-    velocity (the end-of-stage estimate).
+    flux = -nu n . curl(curl u), both curls by lumped projection, from the
+    latest available velocity (the end-of-stage estimate). On a face normal
+    to axis a, (curl curl u)_a is the sum over tangent axes b of
+    d/dx_b (d u_b/dx_a - d u_a/dx_b), in 2D and 3D. That vorticity is formed
+    only on the rows where M1 couples to the face (the face itself at a
+    collocated rule, else its element's p + 1 layers), from partials there
+    (:meth:`GlobalOperators.partial_near`): the work is sized by the face.
     """
-    if ops.mesh.dim < 2:
+    mesh = ops.mesh
+    if mesh.dim < 2:
         raise ValueError("rotational pressure condition needs dim >= 2")
     if not bdata.has_walls or nu == 0.0:
         return {f.name: np.zeros(f.dof_ids.size) for f in bdata.wall_faces}
-    cc = _double_curl(ops, u)
-    return {f.name: -nu * (f.normal[f.axis] * cc.data[f.axis, f.dof_ids])
-            for f in bdata.wall_faces}
+    out = {}
+    for f in bdata.wall_faces:
+        a, i = f.axis, f.side * (mesh.dofs_per_axis[f.axis] - 1)
+        band = np.flatnonzero(ops.axis_matrices[a][1][i])
+        near = slice(band[0], band[-1] + 1)
+        cc = 0.0
+        for b in range(mesh.dim):
+            if b != a:
+                w = ops.partial_near(u.data[b], a, a, near)
+                w -= ops.partial_near(u.data[a], b, a, near)
+                cc = cc + ops.partial_near(w, b, a, slice(i, i + 1), near)
+        out[f.name] = (-nu * f.normal[a]) * cc.ravel()
+    return out
 
 
 def poisson_boundary_term(ops: GlobalOperators, bdata: BoundaryData,
-                          flux_by_face) -> ScalarField:
-    """Accumulate the wall Neumann surface integral into a global residual.
+                          flux_by_face, out=None) -> ScalarField:
+    """Accumulate the wall Neumann surface integral into a global residual:
+    into ``out`` (n_dofs,) at the face DoFs if given, else into zeros.
 
     A face is a slice of the DoF grid, and its mass is the product of the
     tangent axes' 1D masses M1, so entry i is the face integral of l_i g.
     In 1D the face is a point of unit measure.
     """
     mesh = ops.mesh
-    out = np.zeros(mesh.n_dofs)
+    out = np.zeros(mesh.n_dofs) if out is None else out
     for f in bdata.wall_faces:
         flux = flux_by_face.get(f.name)
         if flux is None:
@@ -165,7 +172,6 @@ def outflow_pressure_dirichlet(ops: GlobalOperators, bdata: BoundaryData,
     on ``bdata.outflow_dofs``.
     """
     vals = np.zeros(ops.mesh.n_dofs)
-    speed2 = np.sum(u.data**2, axis=0)
     # A face normal to axis a has n = +-e_a, so u_n = n_a u_a and
     # n.((grad u + grad u^T) n) = 2 du_a/dx_a: one partial per outflow axis.
     dudx = {} if nu == 0.0 else {
@@ -174,7 +180,7 @@ def outflow_pressure_dirichlet(ops: GlobalOperators, bdata: BoundaryData,
     for f in bdata.outflow_faces:
         ids, a = f.dof_ids, f.axis
         s0 = dong_smoothing(f.normal[a] * u.data[a, ids], bdata.outflow_cfg)
-        p = -0.5 * speed2[ids] * s0
+        p = -0.5 * np.sum(u.data[:, ids]**2, axis=0) * s0
         if nu != 0.0:
             p += nu * (2.0 * dudx[a][ids])
         vals[ids] = p

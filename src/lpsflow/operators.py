@@ -41,6 +41,7 @@ arrays land in another order grows into resident pages.
 """
 
 import ctypes
+import itertools
 from functools import cached_property, reduce
 from operator import iadd
 
@@ -265,6 +266,7 @@ class GlobalOperators:
         self._inv_lumped = 1.0 / self.lumped_mass
         self._eigenpairs = {}  # see _box_factors
         self._diagonals = {}  # see solve_helmholtz
+        self._face_blocks = {}  # see partial_near
         # A step's largest array, a stacked vector field. The element-array
         # term stays because the heap sizing TestHeldHeap pins was tuned on it.
         self._step_bytes = 8 * max(mesh.n_elems * self._nqd,
@@ -328,7 +330,7 @@ class GlobalOperators:
         quad(l_i d(values)/dx_k). ``_weak`` and ``_nodal`` take either form
         to the weak residual or to its lumped-mass projection."""
         if self.basis.collocated:
-            return apply_along_axis(self._projected_derivs[k],
+            return apply_along_axis(self._projected_derivs[k][0],
                                     values.reshape(self._grid),
                                     self.mesh.dim - 1 - k).ravel()
         return self._kron_term(values, k, self.axis_matrices[k][2])
@@ -420,6 +422,34 @@ class GlobalOperators:
         """Nodal d/dx_k of flat nodal values: the lumped-mass inverse of the
         weak partial quad(l_i d(values)/dx_k)."""
         return self._nodal(self._partial(values, k))
+
+    def partial_near(self, values, k, axis, rows, held=None):
+        """Nodal d/dx_k as :meth:`projected_partial` forms it, on the rows
+        ``rows`` (a slice) of spatial axis ``axis`` of the DoF grid, from
+        ``values`` on the grid cut there to the rows ``held`` (flat values on
+        the whole grid if omitted), of which it reads only those its factor
+        on ``axis`` couples to ``rows``. Returns the grid cut to ``rows``."""
+        j = self.mesh.dim - 1 - axis
+        held = held or slice(0, self._grid[j])
+        key = (k == axis, axis, rows.start, rows.stop, held.start, held.stop)
+        if key not in self._face_blocks:  # the factor's rows, on their band
+            # The partial's factor on ``axis``, None for the identity.
+            f = self._projected_derivs[axis][0 if k == axis else 1]
+            nz = (np.arange(rows.start, rows.stop) - held.start if f is None
+                  else np.flatnonzero(f[rows, held].any(axis=0)))
+            band = slice(nz[0], nz[-1] + 1)
+            self._face_blocks[key] = band, (
+                None if f is None else np.asfortranarray(f[rows, held][:, band]))
+        band, block = self._face_blocks[key]
+        grid = self._grid[:j] + (held.stop - held.start,) + self._grid[j + 1:]
+        values = values.reshape(grid)[(slice(None),) * j + (band,)]
+        if block is not None:  # first, to cut the grid to ``rows``
+            values = apply_along_axis(block, values, j)
+        for i, kk in enumerate(reversed(range(self.mesh.dim))):
+            mat = self._projected_derivs[kk][0 if kk == k else 1]
+            if i != j and mat is not None:
+                values = apply_along_axis(mat, values, i)
+        return values
 
     def project_gradient(self, phi: ScalarField) -> VectorField:
         """Continuous (nodal) gradient: lumped-mass inverse of weak_gradient."""
@@ -543,12 +573,14 @@ class GlobalOperators:
 
     @cached_property
     def _projected_derivs(self):
-        """Per spatial axis k, the projected derivative M1^-1 G1 (n_k x n_k)
-        of a collocated rule, where M1 is diagonal: nodal values along axis
-        k to the nodal d/dx_k of their lumped-mass projection, the g_h of
-        the stabilization. The weak x-derivative is then M_L times it
-        contracted along x."""
-        return [g1 / np.diagonal(m1)[:, None]
+        """Per spatial axis k, with L1 the row sums of M1 (the lumped mass is
+        their Kronecker product), the factors on axis k of the nodal
+        partials: L1^-1 G1 for d/dx_k, and L1^-1 M1 for the others, None
+        (the identity) at a collocated rule. There M1 is diagonal, and
+        M1^-1 G1 alone takes nodal values along axis k to the nodal d/dx_k
+        of their lumped-mass projection, the g_h of the stabilization."""
+        return [(g1 / m1.sum(axis=1)[:, None], None if self.basis.collocated
+                 else m1 / m1.sum(axis=1)[:, None])
                 for _, m1, g1, _ in self.axis_matrices]
 
     @cached_property
@@ -648,22 +680,64 @@ class GlobalOperators:
             lams.append(lam)
         return s_axes, lams
 
+    def _lift_pieces(self, free, a, b):
+        """The face, edge and corner slices of the grid off the sub-grid
+        ``free``, and (a M + b K)[free, pinned] g for g on them as pieces
+        (rows of the sub-grid, slice of g, square blocks T1[free, free] to
+        contract as (array axis, block), one broadcast weight): one per
+        slice and Kronecker term, b K1 on one axis and M1 on the others or
+        a M. The weight is the coefficient times the 1D factors, among them
+        each pinned index c's column T1[free, c] cut to its nonzero rows. A
+        column with none drops the piece: at a collocated rule
+        M1[free, c] = 0, so only each face's own K1 column is left."""
+        dim, slices, pieces = self.mesh.dim, [], []
+        ends = [[None] + [c for c in (0, n - 1) if not s.start <= c < s.stop]
+                for s, n in zip(free, self._grid)]
+        for combo in itertools.product(*ends):
+            if set(combo) == {None}:
+                continue  # the free sub-grid itself
+            slices.append((slice(None),) + tuple(
+                s if c is None else slice(c, c + 1) for c, s in zip(combo, free)))
+            for t in range(dim + (a != 0)):  # t = dim: the mass term
+                rows, mats, w = [slice(None)], [], [a if t == dim else b]
+                for i, (c, s) in enumerate(zip(combo, free), start=1):
+                    k = dim - i
+                    if c is None:  # the square block
+                        m = self.axis_matrices[k][0] if k == t else self._axis_masses[k]
+                        m, r = m[(s,) * m.ndim], slice(None)
+                    else:  # one column, cut to its nonzero rows
+                        m = self.axis_matrices[k][0 if k == t else 1][s, c]
+                        nz = np.flatnonzero(m)
+                        if nz.size == 0:
+                            break
+                        r = slice(nz[0], nz[-1] + 1)
+                        m = m[r]
+                    rows.append(r)
+                    if m.ndim == 2:
+                        mats.append((i, np.asfortranarray(m)))
+                    w.append(np.ones(1) if m.ndim == 2 else m)
+                else:
+                    pieces.append((tuple(rows), slices[-1], mats,
+                                   reduce(np.multiply.outer, w)))
+        return slices, pieces
+
     def solve_helmholtz(self, rhs, a, b, pinned, values=None):
         """Solution x of (a M + b K) x = rhs for stacked (ncomp, n_dofs)
         right-hand sides, M and K as :meth:`tensor_mass` and
         :meth:`tensor_stiffness` apply them.
 
         The DoFs of every face tagged ``pinned`` hold ``values`` (stacked
-        like ``rhs``, zero if omitted), lifted into the right-hand side; the
-        rows of ``rhs`` there are not used. The free DoFs form the sub-grid
-        :meth:`free_slices` leaves, where in the M1-orthonormal
-        eigenvectors S of every axis the operator is the diagonal
-        a + b (lam_x + lam_y + lam_z): the solve is a contraction with S^T
-        per axis, a divide and a contraction with S per axis (Lynch, Rice &
-        Thomas 1964). With a = 0 and nothing pinned the operator is
-        singular: the Euclidean mean is removed from rhs first and from x
-        last, the convention of mean-deflated CG. The diagonal of the last
-        (a, b) is kept per pinned tag.
+        like ``rhs``, zero if omitted); the rows of ``rhs`` there are not
+        used. The free DoFs form the sub-grid :meth:`free_slices` leaves,
+        where in the M1-orthonormal eigenvectors S of every axis the
+        operator is the diagonal a + b (lam_x + lam_y + lam_z): the solve is
+        a contraction with S^T per axis, a divide and a contraction with S
+        per axis (Lynch, Rice & Thomas 1964). The values are lifted in from
+        their face, edge and corner slices alone (:meth:`_lift_pieces`).
+        With a = 0 and nothing pinned the operator is singular: the
+        Euclidean mean is removed from rhs first and from x last, the
+        convention of mean-deflated CG. The diagonal and the lift of the
+        last (a, b) are kept per pinned tag.
         """
         cached = self._diagonals.get(pinned)
         if cached is None or cached[0] != (a, b):
@@ -673,32 +747,34 @@ class GlobalOperators:
             diag += a
             if a == 0 and diag.size == self.mesh.n_dofs:
                 diag[(0,) * self.mesh.dim] = np.inf  # drop the constant mode
-            cached = ((a, b), self.free_slices(pinned), s_axes, 1.0 / diag)
+            free = self.free_slices(pinned)
+            cached = ((a, b), free, self._lift_pieces(free, a, b), s_axes,
+                      1.0 / diag)
             self._diagonals[pinned] = cached
-        _, free, s_axes, inv = cached
-        shape = (len(rhs),) + self._grid
-        full = inv.size == self.mesh.n_dofs  # nothing pinned
-        free = (slice(None),) + free
-        if not full:
-            x = np.zeros(shape)
-            if values is not None:
-                x[...] = np.reshape(values, shape)
-                x[free] = 0.0  # the pinned values, 0 off the pinned faces
-            if x.any():
-                lift = x.reshape(rhs.shape)
-                rhs = rhs - b * self.tensor_stiffness(lift)
-                if a:
-                    rhs -= a * self.tensor_mass(lift)
+        _, free, (slices, pieces), s_axes, inv = cached
         if not np.isfinite(rhs.sum()):
             raise LinearSolveError("non-finite right-hand side in the direct "
                                    "solve")
-        singular = a == 0 and full
+        shape = (len(rhs),) + self._grid
+        singular = a == 0 and not slices  # nothing pinned
         if singular:
             rhs = rhs - rhs.mean(axis=1, keepdims=True)
-        sol = _diagonalized_solve(rhs.reshape(shape)[free], s_axes, inv,
-                                  first_axis=1)
-        if not full:
-            x[free] = sol
-            return x.reshape(rhs.shape)
-        sol = sol.reshape(rhs.shape)
-        return sol - sol.mean(axis=1, keepdims=True) if singular else sol
+        free = (slice(None),) + free
+        sub = rhs.reshape(shape)[free]
+        g = None if values is None else np.reshape(values, shape)
+        if g is not None and pieces:
+            sub = sub.copy()
+            for rows, at, mats, w in pieces:
+                lift = g[at]
+                for i, m in mats:
+                    lift = apply_along_axis(m, lift, i)
+                sub[rows] -= lift * w
+        sol = _diagonalized_solve(sub, s_axes, inv, first_axis=1)
+        if not slices:
+            sol = sol.reshape(rhs.shape)
+            return sol - sol.mean(axis=1, keepdims=True) if singular else sol
+        x = np.empty(shape)
+        for at in slices:
+            x[at] = 0.0 if g is None else g[at]
+        x[free] = sol
+        return x.reshape(rhs.shape)

@@ -192,7 +192,7 @@ class Stepper:
         b *= -(1.0 / dt)
         if bdata.has_walls and self.physics.nu > 0 and ops.mesh.dim >= 2:
             flux = wall_pressure_neumann(ops, bdata, u_star, self.physics.nu)
-            b += poisson_boundary_term(ops, bdata, flux).values
+            poisson_boundary_term(ops, bdata, flux, out=b)
         values = None
         if bdata.has_outflow:
             values = outflow_pressure_dirichlet(ops, bdata, u_star, self.physics.nu)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpsflow import basis, operators
 from lpsflow.boundary import (
     OutflowConfig,
     apply_velocity_dirichlet,
@@ -12,14 +13,26 @@ from lpsflow.boundary import (
     poisson_boundary_term,
     wall_pressure_neumann,
 )
-from lpsflow.mesh import build_structured_mesh, wall_tags
+from lpsflow.mesh import BoundaryTag, build_structured_mesh, wall_tags
 from lpsflow.operators import GlobalOperators, VectorField
 
 from conftest import periodic_mesh, walled_mesh
 
-from oracles import normal_traction_pressure
+from oracles import DenseOracle, normal_traction_pressure
 
 CFG = OutflowConfig(U0=1.0, beta=0.1)
+
+
+def tagged_box(dim, spec, elems, p, spacing="gll"):
+    """Walls on every face, then ``spec``: "periodic x" makes x periodic,
+    "outflow" tags x_max as an outflow."""
+    tags = wall_tags(dim)
+    if spec == "periodic x":
+        tags["x_min"] = tags["x_max"] = "periodic"
+    elif spec == "outflow":
+        tags["x_max"] = "outflow"
+    return build_structured_mesh(dim, [(0.0, 1.5), (-0.5, 0.5), (0.0, 1.2)][:dim],
+                                 elems, p, spacing, tags)
 
 
 def channel_mesh(n, p, dim=2):
@@ -176,6 +189,92 @@ class TestWallPressureNeumann:
             errs.append(max(errs_y, np.max(np.abs(flux["x_min"] - want))))
         assert errs[1] < errs[0] / 2.0  # O(h^{p-1}) at least
         assert errs[1] < 0.05 * nu
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("spacing, p, over", [
+        ("gll", 1, False), ("gll", 4, False), ("equispaced", 3, False),
+        ("gll", 2, True)], ids=["gll1", "gll4", "equi3", "gll2-over"])
+    @pytest.mark.parametrize("spec", ["walls", "periodic x", "outflow"])
+    def test_matches_dense_double_curl(self, dim, spacing, p, over, spec, rng):
+        # Both curls by lumped projection of the dense weak partials; the
+        # plane curl of the 2D vorticity is its rotated gradient. The
+        # over-integrated rule couples a face to its element's p + 1 layers.
+        elems = (3, 2) if dim == 2 else (2, 2, 3)
+        if p == 4 and dim == 3:
+            elems = (2, 2, 2)
+        mesh = tagged_box(dim, spec, elems, p, spacing)
+        rule = mesh.basis.over_integrated() if over else None
+        ops, dense = GlobalOperators(mesh, rule), DenseOracle(mesh, rule)
+        bd = build_boundary_data(mesh)
+        u = rng.standard_normal((dim, mesh.n_dofs))
+        omega = dense.curl(u)
+        if dim == 2:
+            cc = np.stack([dense.grad[1] @ omega[0],
+                           -(dense.grad[0] @ omega[0])]) / dense.lumped
+        else:
+            cc = dense.curl(omega)
+        nu = 0.3
+        flux = wall_pressure_neumann(ops, bd, VectorField(mesh, u), nu)
+        assert sorted(flux) == sorted(f.name for f in bd.wall_faces)
+        for f in bd.wall_faces:
+            want = -nu * f.normal[f.axis] * cc[f.axis, f.dof_ids]
+            assert (np.max(np.abs(flux[f.name] - want))
+                    <= 1e-12 * np.max(np.abs(want)))
+
+
+def record_big_contractions(monkeypatch, n_dofs):
+    """Patch apply_along_axis to record the shape of every contraction that
+    returns n_dofs entries or more; returns the list it appends to."""
+    big, apply = [], basis.apply_along_axis
+
+    def spy(mat, values, axis):
+        out = apply(mat, values, axis)
+        if out.size >= n_dofs:
+            big.append(out.shape)
+        return out
+
+    for module in (basis, operators):
+        monkeypatch.setattr(module, "apply_along_axis", spy)
+    return big
+
+
+class TestBoundaryWorkIsSizedByTheBoundary:
+    """The wall datum and the wall lift contract face slices and the rows
+    next to them, never an array the size of the grid."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("spacing, p", [("gll", 2), ("equispaced", 3)])
+    @pytest.mark.parametrize("spec", ["walls", "outflow"])
+    def test_wall_datum(self, dim, spacing, p, spec, monkeypatch, rng):
+        mesh = tagged_box(dim, spec, (4, 3, 3)[:dim], p, spacing)
+        ops = GlobalOperators(mesh)
+        bd = build_boundary_data(mesh)
+        u = VectorField(mesh, rng.standard_normal((dim, mesh.n_dofs)))
+        big = record_big_contractions(monkeypatch, mesh.n_dofs)
+        flux = wall_pressure_neumann(ops, bd, u, 0.1)
+        assert len(flux) == len(bd.wall_faces)
+        assert big == []
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("spacing, p", [("gll", 2), ("equispaced", 3)])
+    @pytest.mark.parametrize("a, b, pinned", [
+        (1.0, 0.05, BoundaryTag.DIRICHLET_WALL), (0.0, 1.0, BoundaryTag.OUTFLOW)],
+        ids=["viscous", "pressure"])
+    def test_lift_adds_no_grid_sized_contraction(self, dim, spacing, p, a, b,
+                                                 pinned, monkeypatch, rng):
+        # The solve's own 2 d contractions act on the free sub-grid; lifting
+        # values in adds none of n_dofs entries or more.
+        mesh = tagged_box(dim, "outflow", (4, 3, 3)[:dim], p, spacing)
+        ops = GlobalOperators(mesh)
+        rhs = rng.standard_normal((dim, mesh.n_dofs))
+        values = rng.standard_normal((dim, mesh.n_dofs))
+        big = record_big_contractions(monkeypatch, mesh.n_dofs)
+        counts = []
+        for vals in (None, values):
+            big.clear()
+            ops.solve_helmholtz(rhs, a, b, pinned, vals)
+            counts.append(len(big))
+        assert counts[1] == counts[0] <= 2 * dim
 
 
 class TestPoissonBoundaryTerm:

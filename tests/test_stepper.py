@@ -905,6 +905,30 @@ class TestWalledFlow:
         assert kinetic_energy(ops, u) > 0.0
 
 
+class TestWalledAxesWithoutFreeDofs:
+    @pytest.mark.parametrize("elems", [(1, 3), (3, 1), (1, 1), (2, 1)])
+    def test_diffuse_and_step_hold_the_walls(self, elems, rng):
+        # P1 with walls on both ends of a one-element axis leaves that axis
+        # no free DoF: the free sub-grid is empty, and so is every column
+        # of the lift on that axis.
+        mesh = build_structured_mesh(2, [(0.0, 1.0), (0.0, 2.0)], elems, 1,
+                                     "gll", wall_tags(2))
+        ops = GlobalOperators(mesh)
+        assert any(s.start == s.stop
+                   for s in ops.free_slices(BoundaryTag.DIRICHLET_WALL))
+        bdata = build_boundary_data(mesh, wall_velocity=lambda pts: np.stack(
+            [np.sin(3.0 * pts[:, 0]) + pts[:, 1], np.cos(pts[:, 1])], axis=1))
+        st = Stepper(ops, PhysicalParams(0.1),
+                     TimeScheme(dt=1e-2, rk="ssprk3", diffusion_theta=0.5,
+                                cfl_limit=np.inf),
+                     StabilizationConfig("lps", 1.0), boundary=bdata)
+        u = VectorField(mesh, rng.standard_normal((2, mesh.n_dofs)))
+        walls = bdata.wall_dofs
+        for out in (st.diffuse(u), st.step(u, 0.0)[0]):
+            assert np.all(np.isfinite(out.data))
+            assert np.array_equal(out.data[:, walls], bdata.wall_values[:, walls])
+
+
 class TestChannelFlow:
     def test_inflow_outflow_steps_and_outlet_pressure(self):
         # Inflow at x_min, no-slip side walls, traction outflow at x_max:
