@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import apply_kron
 from .mesh import BoundaryTag
-from .operators import GlobalOperators, ScalarField, VectorField
+from .operators import GlobalOperators, ScalarField, VectorField, _nonzero_band
 
 __all__ = [
     "OutflowConfig",
@@ -129,8 +129,7 @@ def wall_pressure_neumann(ops: GlobalOperators, bdata: BoundaryData,
     out = {}
     for f in bdata.wall_faces:
         a, i = f.axis, f.side * (mesh.dofs_per_axis[f.axis] - 1)
-        band = np.flatnonzero(ops.axis_matrices[a][1][i])
-        near = slice(band[0], band[-1] + 1)
+        near = _nonzero_band(ops.axis_matrices[a][1][i])
         cc = 0.0
         for b in range(mesh.dim):
             if b != a:

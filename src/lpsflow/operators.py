@@ -2,26 +2,27 @@
 
 On a uniform box every constant-coefficient operator is a Kronecker sum of
 1D matrices. Each axis has a stiffness K1, a quadrature mass M1 and a
-derivative form G1 (``axis_matrices``). The weak gradient, divergence,
-Laplacian and curl and the lumped mass contract them along the axes of the
-(z, y, x) DoF grid. One direct solve of a M + b K (``solve_helmholtz``)
-serves the pressure (a = 0) and the viscous step, and it and the wall
-surface integral use the same K1 and M1, so the Laplacian applied is the
-one inverted; M is M1 (x) M1 (x) M1 (``tensor_mass``). No global matrix is
-stored.
+derivative form G1 (``axis_matrices``). The weak Laplacian contracts them
+along the axes of the (z, y, x) DoF grid. One direct solve of a M + b K
+(``solve_helmholtz``) serves the pressure (a = 0) and the viscous step,
+and it and the wall surface integral use the same K1 and M1, so the
+Laplacian applied is the one inverted; M is M1 (x) M1 (x) M1
+(``tensor_mass``). No global matrix is stored.
 
-At a collocated rule (GLL, or equispaced p <= 2) the quadrature points
-are the nodes and M1 is diagonal, so the lumped-mass projection of the
-weak x-derivative is the projected derivative M1^-1 G1 contracted along
-x alone (``_projected_derivs``): one 1D matrix per axis. It gives
-``project_gradient``, the curl and, times the lumped mass, the weak
-gradient and divergence. Convection there is evaluated on the DoF grid
-from the same projected derivatives, since the lumped scatter of W f is
-M_L f at the nodes; ``project_convection`` keeps it nodal. Both
-stabilizations at a collocated rule are weighted forms of 1D broken
-derivatives per axis (``face_jumps``), F^T (W * F phi): the low-order one
-of every element's own derivative, the projection one of its jumps across
-element faces. So a collocated step runs no element kernel.
+Every first derivative is one nodal partial at every rule: the lumped-mass
+projection P_k = M_L^-1 (M1 (x) M1 (x) G1) of the weak d/dx_k, the g_h of
+the stabilization and of the pressure correction. Its factors
+(``_projected_derivs``) are L1^-1 G1 on axis k and L1^-1 M1 on the
+others, L1 the row sums of M1. At a collocated rule (GLL, or equispaced
+p <= 2) the quadrature points are the nodes and M1 = L1, so a partial is
+one 1D contraction. It gives ``project_gradient``, the divergence and the
+curl, and the weak gradient and divergence are it times the lumped mass.
+Convection at a collocated rule is evaluated on the DoF grid from the same
+partials, since the lumped scatter of W f is M_L f at the nodes. Both
+stabilizations there are weighted forms of 1D broken derivatives per axis
+(``face_jumps``), F^T (W * F phi): the low-order one of every element's
+own derivative, the projection one of its jumps across element faces. So
+a collocated step runs no element kernel.
 
 Off collocation (equispaced p >= 3, over-integrated rules) convection and
 LPS, and at any rule the public quadrature-point helpers, are an element
@@ -169,6 +170,13 @@ def _with_transpose(mat):
     return np.asfortranarray(mat), np.ascontiguousarray(mat).T
 
 
+def _nonzero_band(entries):
+    """The slice from the first to the last nonzero of 1D ``entries``, None
+    if there is none."""
+    nz = np.flatnonzero(entries)
+    return slice(nz[0], nz[-1] + 1) if nz.size else None
+
+
 def _diagonalized_solve(x, s_axes, inv, first_axis=0):
     """S (inv * S^T x), each axis's (S, S^T) contracted along consecutive
     array axes of x starting at ``first_axis``."""
@@ -314,32 +322,15 @@ class GlobalOperators:
             blocks[None] = reduce(np.kron, [b.eval_matrix] * dim)
         return blocks
 
-    def _kron_term(self, values, k, mat):
-        """Flat or stacked (ncomp, n_dofs) nodal values times ``mat`` (K1
-        or G1 of axis k) on axis k and M1 on every other axis of the
-        (z, y, x) DoF grid."""
-        mats = [mat if j == k else self._axis_masses[j]
-                for j in reversed(range(self.mesh.dim))]
-        return apply_kron(mats, values.reshape((-1,) + self._grid),
-                          first_axis=1).reshape(values.shape)
-
-    def _partial(self, values, k):
-        """d/dx_k of flat nodal values in the cheaper of two forms: at a
-        collocated rule the nodal projected derivative (``_projected_derivs``
-        contracted along axis k of the DoF grid), otherwise the weak partial
-        quad(l_i d(values)/dx_k). ``_weak`` and ``_nodal`` take either form
-        to the weak residual or to its lumped-mass projection."""
-        if self.basis.collocated:
-            return apply_along_axis(self._projected_derivs[k][0],
-                                    values.reshape(self._grid),
-                                    self.mesh.dim - 1 - k).ravel()
-        return self._kron_term(values, k, self.axis_matrices[k][2])
-
-    def _weak(self, partials):
-        return partials * self.lumped_mass if self.basis.collocated else partials
-
-    def _nodal(self, partials):
-        return partials if self.basis.collocated else partials * self._inv_lumped
+    def _apply_partial(self, grid, k, transpose=False, skip=None):
+        """The nodal partial P_k = d/dx_k (or P_k^T) of values on the
+        (z, y, x) DoF grid, cut or whole: each factor of
+        ``_projected_derivs[k]`` contracted along its array axis, but for
+        the axis ``skip``."""
+        for i, pair in self._projected_derivs[k].items():
+            if i != skip:
+                grid = apply_along_axis(pair[transpose], grid, i)
+        return grid
 
     # -- assembly --------------------------------------------------------------
 
@@ -398,30 +389,28 @@ class GlobalOperators:
     # -- spec operators ----------------------------------------------------
 
     def weak_divergence(self, u: VectorField) -> ScalarField:
-        """Assembled residual of the divergence: entry i is quad(l_i div u)."""
-        _check_same_mesh(self.mesh, u)
-        return ScalarField(self.mesh, self._weak(self._divergence(u.data)))
+        """Assembled residual of the divergence: entry i is quad(l_i div u),
+        the projected divergence times the lumped mass."""
+        return ScalarField(self.mesh,
+                           self.project_divergence(u).values * self.lumped_mass)
 
     def project_divergence(self, u: VectorField) -> ScalarField:
         """Continuous (nodal) divergence: lumped-mass inverse of
         weak_divergence."""
         _check_same_mesh(self.mesh, u)
-        return ScalarField(self.mesh, self._nodal(self._divergence(u.data)))
-
-    def _divergence(self, data):
-        return reduce(iadd, map(self._partial, data, range(self.mesh.dim)))
+        return ScalarField(self.mesh, reduce(iadd, map(
+            self.projected_partial, u.data, range(self.mesh.dim))))
 
     def weak_gradient(self, p: ScalarField) -> VectorField:
-        """Assembled residual of the gradient, one component per axis."""
-        _check_same_mesh(self.mesh, p)
-        return VectorField(self.mesh, np.stack(
-            [self._weak(self._partial(p.values, k))
-             for k in range(self.mesh.dim)]))
+        """Assembled residual of the gradient, one component per axis: the
+        projected gradient times the lumped mass."""
+        return VectorField(self.mesh,
+                           self.project_gradient(p).data * self.lumped_mass)
 
     def projected_partial(self, values, k):
         """Nodal d/dx_k of flat nodal values: the lumped-mass inverse of the
-        weak partial quad(l_i d(values)/dx_k)."""
-        return self._nodal(self._partial(values, k))
+        weak partial quad(l_i d(values)/dx_k) (``_projected_derivs``)."""
+        return self._apply_partial(values.reshape(self._grid), k).ravel()
 
     def partial_near(self, values, k, axis, rows, held=None):
         """Nodal d/dx_k as :meth:`projected_partial` forms it, on the rows
@@ -433,23 +422,17 @@ class GlobalOperators:
         held = held or slice(0, self._grid[j])
         key = (k == axis, axis, rows.start, rows.stop, held.start, held.stop)
         if key not in self._face_blocks:  # the factor's rows, on their band
-            # The partial's factor on ``axis``, None for the identity.
-            f = self._projected_derivs[axis][0 if k == axis else 1]
-            nz = (np.arange(rows.start, rows.stop) - held.start if f is None
-                  else np.flatnonzero(f[rows, held].any(axis=0)))
-            band = slice(nz[0], nz[-1] + 1)
+            pair = self._projected_derivs[k].get(j)  # None: the identity
+            f = (np.eye(self._grid[j]) if pair is None else pair[0])[rows, held]
+            band = _nonzero_band(f.any(axis=0))
             self._face_blocks[key] = band, (
-                None if f is None else np.asfortranarray(f[rows, held][:, band]))
+                None if pair is None else np.asfortranarray(f[:, band]))
         band, block = self._face_blocks[key]
         grid = self._grid[:j] + (held.stop - held.start,) + self._grid[j + 1:]
         values = values.reshape(grid)[(slice(None),) * j + (band,)]
         if block is not None:  # first, to cut the grid to ``rows``
             values = apply_along_axis(block, values, j)
-        for i, kk in enumerate(reversed(range(self.mesh.dim))):
-            mat = self._projected_derivs[kk][0 if kk == k else 1]
-            if i != j and mat is not None:
-                values = apply_along_axis(mat, values, i)
-        return values
+        return self._apply_partial(values, k, skip=j)
 
     def project_gradient(self, phi: ScalarField) -> VectorField:
         """Continuous (nodal) gradient: lumped-mass inverse of weak_gradient."""
@@ -468,8 +451,11 @@ class GlobalOperators:
         """The weak Laplacian K applied to flat or stacked (ncomp, n_dofs)
         nodal values: the sum over axes k of K1 on axis k and M1 on the
         others, the K that :meth:`solve_helmholtz` inverts."""
-        return reduce(iadd, (self._kron_term(data, k, self.axis_matrices[k][0])
-                             for k in range(self.mesh.dim)))
+        dim, grid = self.mesh.dim, data.reshape((-1,) + self._grid)
+        return reduce(iadd, (apply_kron(
+            [self.axis_matrices[k][0] if j == k else self._axis_masses[j]
+             for j in reversed(range(dim))], grid,
+            first_axis=1).reshape(data.shape) for k in range(dim)))
 
     def tensor_mass(self, data):
         """M1 (x) M1 (x) M1 applied to stacked (ncomp, n_dofs) nodal values:
@@ -498,31 +484,29 @@ class GlobalOperators:
         skew-symmetric form is the advective one plus (div u) u / 2, with
         the divergence taken from the exact interpolant gradient.
 
-        At a collocated rule the quadrature points are the nodes and the
-        scatter of W f is M_L f at the nodes, so every form is evaluated
-        on the DoF grid with the projected derivative and multiplied by the
-        lumped mass once. Otherwise element kernels evaluate it at the
-        quadrature points.
+        It is the nodal term (:meth:`project_convection`) times the lumped
+        mass. At a collocated rule the quadrature points are the nodes and
+        the scatter of W f is M_L f at the nodes, so every form is evaluated
+        on the DoF grid with the projected derivative. Otherwise element
+        kernels evaluate it at the quadrature points.
         """
-        return VectorField(self.mesh, self._weak(self._convect(u, form)))
+        return VectorField(self.mesh, self.project_convection(u, form).data
+                           * self.lumped_mass)
 
     def project_convection(self, u: VectorField, form) -> VectorField:
-        """Nodal convective term: lumped-mass inverse of convective_term.
-        At a collocated rule it is evaluated on the DoF grid and never
-        multiplied by the lumped mass."""
-        return VectorField(self.mesh, self._nodal(self._convect(u, form)))
-
-    def _convect(self, u, form):
-        """The convective term in the form that ``_partial`` returns: nodal
-        at a collocated rule, else the weak residual."""
+        """Nodal convective term: lumped-mass inverse of convective_term. At
+        a collocated rule it is evaluated on the DoF grid, else it is the
+        element kernels' weak residual times 1 / M_L."""
         _check_same_mesh(self.mesh, u)
         form = ConvectiveForm.coerce(form)
         out = np.empty((self.mesh.dim, self.mesh.n_dofs))
         if self.basis.collocated:
-            return _convection(form, u.data, lambda v: v, self._partial,
-                               lambda f: f, out)
-        return _convection(form, [self._gather(v) for v in u.data],
-                           self._deriv, self._deriv, self._assemble, out)
+            return VectorField(self.mesh, _convection(
+                form, u.data, lambda v: v, self.projected_partial,
+                lambda f: f, out))
+        return VectorField(self.mesh, _convection(
+            form, [self._gather(v) for v in u.data], self._deriv, self._deriv,
+            lambda f: self._assemble(f) * self._inv_lumped, out))
 
     def curl(self, u: VectorField) -> VectorField:
         """Nodal vorticity via lumped-mass projection of curl u.
@@ -538,17 +522,16 @@ class GlobalOperators:
         pairs = (((1, 0, 0, 1),) if dim == 2 else
                  ((2, 1, 1, 2), (0, 2, 2, 0), (1, 0, 0, 1)))
         return VectorField(self.mesh, np.stack([
-            self._nodal(self._partial(u.data[cp], ap)
-                        - self._partial(u.data[cm], am))
+            self.projected_partial(u.data[cp], ap)
+            - self.projected_partial(u.data[cm], am)
             for cp, ap, cm, am in pairs]))
 
     # -- fast diagonalization ----------------------------------------------
 
     @cached_property
     def axis_matrices(self):
-        """Per spatial axis k, the 1D stiffness K1, quadrature mass M1,
-        derivative form G1 = quad(l_i l_j') (no h factor: (h/2)(2/h) = 1)
-        and G1^T.
+        """Per spatial axis k, the 1D stiffness K1, quadrature mass M1 and
+        derivative form G1 = quad(l_i l_j') (no h factor: (h/2)(2/h) = 1).
 
         All are assembled over axis k's elements with this operator set's
         rule, with periodic or non-periodic ends, Fortran-ordered like
@@ -568,20 +551,26 @@ class GlobalOperators:
             np.add.at(k1, (rows, cols), (2.0 / h) * (Dq.T @ (w[:, None] * Dq)))
             np.add.at(m1, (rows, cols), (0.5 * h) * (B.T @ (w[:, None] * B)))
             np.add.at(g1, (rows, cols), B.T @ (w[:, None] * Dq))
-            out.append((k1, m1) + _with_transpose(g1))
+            out.append((k1, m1, g1))
         return out
 
     @cached_property
     def _projected_derivs(self):
-        """Per spatial axis k, with L1 the row sums of M1 (the lumped mass is
-        their Kronecker product), the factors on axis k of the nodal
-        partials: L1^-1 G1 for d/dx_k, and L1^-1 M1 for the others, None
-        (the identity) at a collocated rule. There M1 is diagonal, and
-        M1^-1 G1 alone takes nodal values along axis k to the nodal d/dx_k
-        of their lumped-mass projection, the g_h of the stabilization."""
-        return [(g1 / m1.sum(axis=1)[:, None], None if self.basis.collocated
-                 else m1 / m1.sum(axis=1)[:, None])
-                for _, m1, g1, _ in self.axis_matrices]
+        """Per spatial axis k, the factors of the nodal partial P_k = M_L^-1
+        (M1 (x) M1 (x) G1), the lumped-mass projection of the weak d/dx_k
+        and the g_h of the stabilization, keyed by array axis of the
+        (z, y, x) DoF grid, ascending: L1^-1 G1 on axis k and L1^-1 M1 on
+        the others, L1 the row sums of M1 (the lumped mass is their
+        Kronecker product). Each is a pair (P, P^T) (``_with_transpose``),
+        built once per spatial axis. At a collocated rule M1 = L1 and the
+        identities are left out, so a partial is one contraction."""
+        dim, collocated = self.mesh.dim, self.basis.collocated
+        factors = [[_with_transpose(f / m1.sum(axis=1)[:, None])
+                    for f in ((g1,) if collocated else (g1, m1))]
+                   for _, m1, g1 in self.axis_matrices]
+        return [{dim - 1 - a: factors[a][a != k]
+                 for a in reversed(range(dim)) if a == k or not collocated}
+                for k in range(dim)]
 
     @cached_property
     def face_jumps(self):
@@ -624,7 +613,7 @@ class GlobalOperators:
     def _axis_masses(self):
         """Per axis M1, as its diagonal (a scaling) if the rule is collocated."""
         return [np.diagonal(m1) if self.basis.collocated else m1
-                for _, m1, _, _ in self.axis_matrices]
+                for _, m1, _ in self.axis_matrices]
 
     def _axis_eigenpairs(self, k, keep):
         """Generalized eigenpairs K1 S = M1 S diag(lam) on axis k's free DoFs.
@@ -707,10 +696,9 @@ class GlobalOperators:
                         m, r = m[(s,) * m.ndim], slice(None)
                     else:  # one column, cut to its nonzero rows
                         m = self.axis_matrices[k][0 if k == t else 1][s, c]
-                        nz = np.flatnonzero(m)
-                        if nz.size == 0:
+                        r = _nonzero_band(m)
+                        if r is None:
                             break
-                        r = slice(nz[0], nz[-1] + 1)
                         m = m[r]
                     rows.append(r)
                     if m.ndim == 2:

@@ -152,8 +152,8 @@ def lps_term(ops: GlobalOperators, phi: ScalarField, nu_elem: np.ndarray,
     gradient that the pressure correction applies. At a collocated rule the
     term is a face form (module docstring). Otherwise, with f = g_h phi -
     grad phi at the quadrature points, it is c_s [quad(nu_e grad w . f) -
-    sum_k G_k^T M_L^-1 a_k], a_k = quad(nu_e w f_k) assembled and G_k the
-    weak partial of axis k.
+    sum_k P_k^T a_k], a_k = quad(nu_e w f_k) assembled and P_k the nodal
+    partial of axis k, so that P_k^T = G_k^T M_L^-1 with G_k the weak one.
     """
     if c_s == 0.0:
         return ScalarField(ops.mesh)
@@ -166,8 +166,8 @@ def lps_term(ops: GlobalOperators, phi: ScalarField, nu_elem: np.ndarray,
             for g_k, grad_q in zip(g, ops.grad_at_quad(phi.values))]
     out = ops.weak_div_flux(flux, elem_scale=nu).values
     for k, f in enumerate(flux):
-        a_k = ops._assemble(nu[:, None] * f) * ops._inv_lumped
-        out -= ops._kron_term(a_k, k, ops.axis_matrices[k][3])
+        a_k = ops._assemble(nu[:, None] * f).reshape(ops._grid)
+        out -= ops._apply_partial(a_k, k, transpose=True).ravel()
     return ScalarField(ops.mesh, c_s * out)
 
 

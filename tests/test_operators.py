@@ -182,6 +182,54 @@ class TestProjectGradient:
             assert np.max(diff) < 1e-13 * max(scale, 1.0)
 
 
+def _band(row):
+    """First to last nonzero entry of ``row``, as a slice."""
+    nz = np.flatnonzero(row)
+    return slice(nz[0], nz[-1] + 1)
+
+
+class TestPartialNear:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("spacing, p, over", [
+        ("gll", 1, False), ("gll", 4, False), ("equispaced", 3, False),
+        ("gll", 2, True)], ids=["gll1", "gll4", "equi3", "gll2-over"])
+    def test_equals_projected_partial_cut_to_rows(self, dim, spacing, p,
+                                                  over, rng):
+        # Walls on y, outflow on x (2D) or z (3D), periodic x in 3D. Rows:
+        # the face row at either end of every axis and the element band M1
+        # couples to it; the face row also from values held on the band M1
+        # or G1 couples to it, every row either factor on the axis reads.
+        tags = periodic_tags(dim)
+        tags.update(y_min="wall", y_max="wall")
+        out = "x" if dim == 2 else "z"
+        tags.update({f"{out}_min": "outflow", f"{out}_max": "outflow"})
+        mesh = build_structured_mesh(
+            dim, [(0.0, 1.0), (-1.0, 0.5), (0.25, 1.0)][:dim],
+            (3, 2, 2)[:dim], p, spacing, tags)
+        ops = GlobalOperators(
+            mesh, mesh.basis.over_integrated() if over else None)
+        values = rng.standard_normal(mesh.n_dofs)
+        grid = mesh.dofs_per_axis[::-1]
+        for k in range(dim):
+            want = ops.projected_partial(values, k).reshape(grid)
+            for axis in range(dim):
+                j = dim - 1 - axis
+
+                def cut(a, rows):
+                    return a[(slice(None),) * j + (rows,)]
+
+                for i in (0, grid[j] - 1):
+                    m1, g1 = (m[i] for m in ops.axis_matrices[axis][1:3])
+                    face, band = slice(i, i + 1), _band(m1)
+                    for rows in (face, band):
+                        got = ops.partial_near(values, k, axis, rows)
+                        assert close_to(got, cut(want, rows), rel=1e-13)
+                    reach = _band(np.abs(m1) + np.abs(g1))
+                    held = cut(values.reshape(grid), reach)
+                    got = ops.partial_near(held, k, axis, face, reach)
+                    assert close_to(got, cut(want, face), rel=1e-13)
+
+
 class TestWeakLaplacian:
     def test_constant_annihilated(self):
         ops = GlobalOperators(periodic_mesh(2, 3, 2))

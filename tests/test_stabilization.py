@@ -268,8 +268,22 @@ class TestLpsTerm:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         phi = rng.standard_normal(mesh.n_dofs)
         nu = rng.uniform(0.1, 1.0, mesh.n_elems)
+        psi = rng.standard_normal(mesh.n_dofs)
         got = lps_term(ops, ScalarField(mesh, phi), nu, 1.0).values
         assert phi @ got <= 1e-12 * max(np.abs(phi) @ np.abs(got), 1.0)
+        # The symmetric form, which off collocation checks P_k^T:
+        # psi . s(phi) = -sum_k sum_e nu_e (f_k(psi), f_k(phi))_e, with
+        # f_k = g_h,k - d/dx_k at the quadrature points.
+
+        def diff(v):
+            g = ops.project_gradient(ScalarField(mesh, v)).data
+            return [ops.interp_to_quad(g_k) - grad_q
+                    for g_k, grad_q in zip(g, ops.grad_at_quad(v))]
+
+        want = -sum(ops.integrate(nu[:, None] * a * b)
+                    for a, b in zip(diff(psi), diff(phi)))
+        assert abs(psi @ got - want) <= 1e-12 * max(np.abs(psi) @ np.abs(got),
+                                                    1.0)
 
     @pytest.mark.parametrize("dim,elems,p,spacing,over,walls", [
         (2, (3, 2), 3, "equispaced", False, ("x", "y")),
