@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cases import init_shear_layer, init_tgv2d, init_tgv3d
+from .cases import PRESETS
 from .config import ConfigError, RunConfig
 from .diagnostics import compute_record, write_csv
 from .mesh import build_structured_mesh, periodic_tags
@@ -55,19 +55,13 @@ def build_mesh(cfg: RunConfig):
 
 
 def initial_velocity(cfg: RunConfig, mesh):
-    case = cfg.case
-    if case == "shear_layer":
-        return init_shear_layer(mesh)
-    if case == "tgv2d":
-        u, _ = init_tgv2d(mesh, V0=cfg.get("physics", "V0"),
-                          nu=cfg.get("physics", "nu"))
-        return u
-    if case == "tgv3d":
-        return init_tgv3d(mesh, V0=cfg.get("physics", "V0"))
-    raise ConfigError(
-        f"case {case!r} has no built-in initial condition; pass one through "
-        "the library API (run(cfg, initial_condition=...))"
-    )
+    """The configured case's built-in initial velocity on ``mesh``."""
+    make = PRESETS[cfg.case].initial_velocity
+    if make is None:
+        raise ConfigError(
+            f"case {cfg.case!r} has no built-in initial condition; pass one "
+            "through the library API (run(cfg, initial_condition=...))")
+    return make(mesh, cfg)
 
 
 def _git_revision():
@@ -120,6 +114,7 @@ def _run_manufactured_poisson(cfg: RunConfig, out_dir: Path, log):
     diff = p.values - exact(mesh.node_coords)
     diff -= diff.mean()
     err = math.sqrt(ref.integrate(ref.interp_to_quad(diff) ** 2))
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "errors.csv", "w") as fh:
         fh.write("n,p,l2_error\n")
         fh.write(f"{cfg.get('mesh', 'n')[0]},{cfg.get('mesh', 'p')},"
@@ -136,15 +131,16 @@ def run(cfg: RunConfig, initial_condition=None, log=print):
     """Execute one configured run; returns a RunResult with the exit code.
 
     ``initial_condition`` is a point function points -> (npts, dim) for the
-    velocity at t = 0; without it the case's built-in one is used.
+    velocity at t = 0; without it the case's built-in one is used. A case
+    without one raises :class:`ConfigError` before the output directory is
+    made.
     """
     out_dir = Path(cfg.output_dir())
-    out_dir.mkdir(parents=True, exist_ok=True)
     if log is None:
         def log(_msg):
             return None
 
-    if cfg.case == "manufactured_poisson":
+    if not PRESETS[cfg.case].steps:
         return _run_manufactured_poisson(cfg, out_dir, log)
 
     mesh = build_mesh(cfg)
@@ -152,6 +148,7 @@ def run(cfg: RunConfig, initial_condition=None, log=print):
         u = initial_velocity(cfg, mesh)
     else:
         u = VectorField.from_function(mesh, initial_condition)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     ops = GlobalOperators(mesh)
     physics = cfg.physical_params()

@@ -135,7 +135,7 @@ def wall_pressure_neumann(ops: GlobalOperators, bdata: BoundaryData,
             if b != a:
                 w = ops.partial_near(u.data[b], a, a, near)
                 w -= ops.partial_near(u.data[a], b, a, near)
-                cc = cc + ops.partial_near(w, b, a, slice(i, i + 1), near)
+                cc = cc + ops.partial_near(w, b, a, slice(i, i + 1))
         out[f.name] = (-nu * f.normal[a]) * cc.ravel()
     return out
 

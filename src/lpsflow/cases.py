@@ -1,10 +1,17 @@
-"""Benchmark initial conditions and their analytic companions."""
+"""The run cases, one :class:`Case` row each in the table ``PRESETS``
+that the configuration, the driver and the CLI read, and the built-in
+initial conditions. A built-in initial velocity fixes its preset's dim."""
+
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .operators import VectorField
 
 __all__ = [
+    "Case",
+    "PRESETS",
     "SHEAR_LAYER_WIDTH",
     "SHEAR_LAYER_PERTURBATION",
     "init_shear_layer",
@@ -76,3 +83,66 @@ def init_tgv2d(mesh, V0=1.0, nu=0.0):
         return base * np.exp(-2.0 * nu * t)
 
     return VectorField(mesh, base.copy()), exact
+
+
+@dataclass(frozen=True)
+class Case:
+    """Preset ``values`` by (section, key); ``initial_velocity(mesh, cfg)``,
+    None where the caller passes one; ``steps`` False for a one-off solve."""
+
+    description: str
+    values: dict
+    initial_velocity: Optional[Callable] = None
+    steps: bool = True
+
+
+PRESETS = {
+    "custom": Case(
+        "library-defined mesh/initial condition (no built-in scenario)", {}),
+    "shear_layer": Case(
+        "Inviscid doubly periodic shear layer, 60x60 DoFs P1, t_end 8",
+        {
+            ("mesh", "dim"): 2, ("mesh", "n"): (60, 60), ("mesh", "p"): 1,
+            ("mesh", "spacing"): "gll",
+            ("physics", "nu"): 0.0,
+            ("scheme", "dt"): 5e-3, ("scheme", "t_end"): 8.0,
+            ("scheme", "rk"): "ssprk3",
+            ("scheme", "convective_form"): "skew",
+            ("stabilization", "stabilization"): "lps",
+            ("output", "every_steps"): 20,
+        },
+        lambda mesh, cfg: init_shear_layer(mesh)),
+    "tgv2d": Case(
+        "2D Taylor-Green with analytic decay, temporal-accuracy case",
+        {
+            ("mesh", "dim"): 2, ("mesh", "n"): (16, 16), ("mesh", "p"): 4,
+            ("mesh", "spacing"): "gll",
+            ("physics", "nu"): 0.01,
+            ("scheme", "dt"): 1.0 / 32.0, ("scheme", "t_end"): 1.0,
+            ("scheme", "rk"): "heun2",
+            ("scheme", "diffusion_theta"): 0.5,
+            ("scheme", "convective_form"): "skew",
+            ("stabilization", "stabilization"): "none",
+            ("output", "every_steps"): 4,
+        },
+        lambda mesh, cfg: init_tgv2d(mesh, V0=cfg.get("physics", "V0"),
+                                     nu=cfg.get("physics", "nu"))[0]),
+    "tgv3d": Case(
+        "3D Taylor-Green vortex at Re 1600, 32^3 DoFs by default",
+        {
+            ("mesh", "dim"): 3, ("mesh", "n"): (16, 16, 16), ("mesh", "p"): 2,
+            ("mesh", "spacing"): "gll",
+            ("physics", "Re"): 1600.0, ("physics", "V0"): 1.0, ("physics", "L0"): 1.0,
+            ("scheme", "dt"): 0.0, ("scheme", "auto_dt_cfl"): 0.3,
+            ("scheme", "t_end"): 20.0,
+            ("scheme", "rk"): "ssprk3",
+            ("scheme", "convective_form"): "skew",
+            ("stabilization", "stabilization"): "lps",
+            ("output", "every_steps"): 10,
+        },
+        lambda mesh, cfg: init_tgv3d(mesh, V0=cfg.get("physics", "V0"))),
+    "manufactured_poisson": Case(
+        "Manufactured periodic Poisson solve (writes the L2 error)",
+        {("mesh", "dim"): 2, ("mesh", "n"): (16, 16), ("mesh", "p"): 2},
+        steps=False),
+}

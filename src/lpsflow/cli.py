@@ -38,9 +38,7 @@ def _build_parser():
 def _cmd_presets():
     width = max(len(name) for name in PRESETS) + 2
     for name in sorted(PRESETS):
-        print(f"{name:<{width}}{PRESETS[name]['description']}")
-    print(f"{'custom':<{width}}library-defined mesh/initial condition "
-          "(no built-in scenario)")
+        print(f"{name:<{width}}{PRESETS[name].description}")
     return EXIT_OK
 
 

@@ -1,8 +1,8 @@
 """Run configuration: INI-style files, presets, overrides, manifests.
 
 A run is described by key = value pairs in named sections. Unset keys fall
-back to the selected case preset, then to package defaults. ``--set
-section.key=value`` overrides win over everything. The resolved
+back to the case's preset (``cases.PRESETS``), then to package defaults.
+``--set section.key=value`` overrides win over everything. The resolved
 configuration (with every default filled in) is echoed to ``run.json`` so a
 finished run can be reproduced bit for bit.
 """
@@ -14,6 +14,7 @@ import os
 from dataclasses import fields
 
 from .basis import make_basis
+from .cases import PRESETS
 from .mesh import MeshError, check_mesh_request, periodic_tags
 from .operators import ConvectiveForm
 from .snapshot import snapshot_writer
@@ -61,56 +62,6 @@ _SCHEMA = {
 
 _TWO_PI = 2.0 * math.pi
 
-PRESETS = {
-    "shear_layer": {
-        "description": "Inviscid doubly periodic shear layer, 60x60 DoFs P1, t_end 8",
-        "values": {
-            ("mesh", "dim"): 2, ("mesh", "n"): (60, 60), ("mesh", "p"): 1,
-            ("mesh", "spacing"): "gll",
-            ("physics", "nu"): 0.0,
-            ("scheme", "dt"): 5e-3, ("scheme", "t_end"): 8.0,
-            ("scheme", "rk"): "ssprk3",
-            ("scheme", "convective_form"): "skew",
-            ("stabilization", "stabilization"): "lps",
-            ("output", "every_steps"): 20,
-        },
-    },
-    "tgv2d": {
-        "description": "2D Taylor-Green with analytic decay, temporal-accuracy case",
-        "values": {
-            ("mesh", "dim"): 2, ("mesh", "n"): (16, 16), ("mesh", "p"): 4,
-            ("mesh", "spacing"): "gll",
-            ("physics", "nu"): 0.01,
-            ("scheme", "dt"): 1.0 / 32.0, ("scheme", "t_end"): 1.0,
-            ("scheme", "rk"): "heun2",
-            ("scheme", "diffusion_theta"): 0.5,
-            ("scheme", "convective_form"): "skew",
-            ("stabilization", "stabilization"): "none",
-            ("output", "every_steps"): 4,
-        },
-    },
-    "tgv3d": {
-        "description": "3D Taylor-Green vortex at Re 1600, 32^3 DoFs by default",
-        "values": {
-            ("mesh", "dim"): 3, ("mesh", "n"): (16, 16, 16), ("mesh", "p"): 2,
-            ("mesh", "spacing"): "gll",
-            ("physics", "Re"): 1600.0, ("physics", "V0"): 1.0, ("physics", "L0"): 1.0,
-            ("scheme", "dt"): 0.0, ("scheme", "auto_dt_cfl"): 0.3,
-            ("scheme", "t_end"): 20.0,
-            ("scheme", "rk"): "ssprk3",
-            ("scheme", "convective_form"): "skew",
-            ("stabilization", "stabilization"): "lps",
-            ("output", "every_steps"): 10,
-        },
-    },
-    "manufactured_poisson": {
-        "description": "Manufactured periodic Poisson solve (writes the L2 error)",
-        "values": {
-            ("mesh", "dim"): 2, ("mesh", "n"): (16, 16), ("mesh", "p"): 2,
-        },
-    },
-}
-
 
 def parse_overrides(pairs):
     """Parse --set items of the form section.key=value."""
@@ -144,23 +95,17 @@ class RunConfig:
     @classmethod
     def resolve(cls, file_values=None, overrides=None):
         """Layer defaults <- preset <- file <- overrides, then validate."""
-        raw = {}
         file_values = dict(file_values or {})
         overrides = dict(overrides or {})
 
-        case = str(
-            overrides.get(("case", "name"))
-            or file_values.get(("case", "name"))
-            or "custom"
-        ).lower()
-        if case != "custom" and case not in PRESETS:
-            names = ", ".join(sorted(PRESETS) + ["custom"])
+        case = str(overrides.get(("case", "name")) or file_values.get(("case", "name"))
+                   or _SCHEMA[("case", "name")][1]).lower()
+        if case not in PRESETS:
+            names = ", ".join(sorted(PRESETS))
             raise ConfigError(f"unknown case {case!r} (expected one of: {names})")
 
-        for seckey, (_, default) in _SCHEMA.items():
-            raw[seckey] = default
-        if case in PRESETS:
-            raw.update(PRESETS[case]["values"])
+        raw = {seckey: default for seckey, (_, default) in _SCHEMA.items()}
+        raw.update(PRESETS[case].values)
         raw.update(file_values)
         raw.update(overrides)
         raw[("case", "name")] = case
@@ -216,7 +161,7 @@ class RunConfig:
         if not (math.isfinite(target) and target > 0.0):
             raise ConfigError("[scheme] auto_dt_cfl must be finite and "
                               f"positive, got {target}")
-        if v[("scheme", "dt")] <= 0.0 and self.case != "manufactured_poisson":
+        if v[("scheme", "dt")] <= 0.0 and PRESETS[self.case].steps:
             extents = self.domain_extents()
             h_min = min(
                 (b - a) / nk for (a, b), nk in zip(extents, v[("mesh", "n")])
@@ -229,20 +174,17 @@ class RunConfig:
 
     def _validate(self):
         """Check every value through the object that owns its rule."""
-        v = self.values
-        dim = v[("mesh", "dim")]
-        case = self.case
-        if case in ("shear_layer", "tgv2d") and dim != 2:
-            raise ConfigError(f"case {case} requires dim=2")
-        if case == "tgv3d" and dim != 3:
-            raise ConfigError("case tgv3d requires dim=3")
+        v, case = self.values, PRESETS[self.case]
+        dim = case.values.get(("mesh", "dim"))
+        if case.initial_velocity is not None and v[("mesh", "dim")] != dim:
+            raise ConfigError(f"case {self.case} requires dim={dim}")
         try:
             make_basis(v[("mesh", "p")], v[("mesh", "spacing")])
             ConvectiveForm.coerce(v[("scheme", "convective_form")])
             snapshot_writer(v[("output", "snapshot_format")])
             self.physical_params()
             self.stabilization_config()
-            if case != "manufactured_poisson":  # steps nothing, keeps dt = 0
+            if case.steps:  # else dt stays 0
                 self.time_scheme()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import GlobalOperators, VectorField
-from .stabilization import StabilizationConfig, StabilizationMode, momentum_stabilization
+from .stabilization import StabilizationConfig, momentum_stabilization
 
 __all__ = [
     "DiagnosticsRecord",
@@ -83,11 +83,8 @@ def compute_record(ops: GlobalOperators, u: VectorField, nu: float,
         zeta, eps = enstrophy_dissipation(ops, u, nu)
     else:
         zeta, eps = 0.0, 0.0
-    if stab is not None and stab.mode is not StabilizationMode.NONE:
-        s = momentum_stabilization(ops, u, stab)
-        power = stabilization_power(ops, u, s)
-    else:
-        power = 0.0
+    power = (stabilization_power(ops, u, momentum_stabilization(ops, u, stab))
+             if stab else 0.0)
     return DiagnosticsRecord(
         t=t,
         E_k=kinetic_energy(ops, u),

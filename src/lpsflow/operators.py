@@ -272,13 +272,10 @@ class GlobalOperators:
 
         self.lumped_mass = self._assemble_lumped_mass()
         self._inv_lumped = 1.0 / self.lumped_mass
-        self._eigenpairs = {}  # see _box_factors
+        self._eigenpairs = {}  # see _axis_eigenpairs
         self._diagonals = {}  # see solve_helmholtz
         self._face_blocks = {}  # see partial_near
-        # A step's largest array, a stacked vector field. The element-array
-        # term stays because the heap sizing TestHeldHeap pins was tuned on it.
-        self._step_bytes = 8 * max(mesh.n_elems * self._nqd,
-                                   dim * mesh.n_dofs)
+        self._step_bytes = 8 * dim * mesh.n_dofs  # a stacked vector field
         self._heap_reserved = False
         _hold_freed_arrays(self._step_bytes)
 
@@ -412,24 +409,27 @@ class GlobalOperators:
         weak partial quad(l_i d(values)/dx_k) (``_projected_derivs``)."""
         return self._apply_partial(values.reshape(self._grid), k).ravel()
 
-    def partial_near(self, values, k, axis, rows, held=None):
+    def partial_near(self, values, k, axis, rows):
         """Nodal d/dx_k as :meth:`projected_partial` forms it, on the rows
-        ``rows`` (a slice) of spatial axis ``axis`` of the DoF grid, from
-        ``values`` on the grid cut there to the rows ``held`` (flat values on
-        the whole grid if omitted), of which it reads only those its factor
-        on ``axis`` couples to ``rows``. Returns the grid cut to ``rows``."""
+        ``rows`` (a slice) of spatial axis ``axis`` of the DoF grid; returns
+        the grid cut to ``rows``. It reads only the band of its factor on
+        ``axis``: the nonzero columns of the factor's ``rows``, taken from
+        flat ``values`` on the whole grid, or ``values`` on the grid cut to
+        exactly that band (else ``ValueError``)."""
         j = self.mesh.dim - 1 - axis
-        held = held or slice(0, self._grid[j])
-        key = (k == axis, axis, rows.start, rows.stop, held.start, held.stop)
+        key = (k == axis, axis, rows.start, rows.stop)
         if key not in self._face_blocks:  # the factor's rows, on their band
             pair = self._projected_derivs[k].get(j)  # None: the identity
-            f = (np.eye(self._grid[j]) if pair is None else pair[0])[rows, held]
+            f = (np.eye(self._grid[j]) if pair is None else pair[0])[rows]
             band = _nonzero_band(f.any(axis=0))
             self._face_blocks[key] = band, (
                 None if pair is None else np.asfortranarray(f[:, band]))
         band, block = self._face_blocks[key]
-        grid = self._grid[:j] + (held.stop - held.start,) + self._grid[j + 1:]
-        values = values.reshape(grid)[(slice(None),) * j + (band,)]
+        if values.ndim == 1:
+            values = values.reshape(self._grid)[(slice(None),) * j + (band,)]
+        elif values.shape[j] != band.stop - band.start:
+            raise ValueError(f"values hold {values.shape[j]} rows of axis "
+                             f"{axis}; the partial reads {band}")
         if block is not None:  # first, to cut the grid to ``rows``
             values = apply_along_axis(block, values, j)
         return self._apply_partial(values, k, skip=j)
@@ -619,18 +619,25 @@ class GlobalOperators:
         """Generalized eigenpairs K1 S = M1 S diag(lam) on axis k's free DoFs.
 
         K1 and M1 are ``axis_matrices[k]`` restricted to the indices
-        ``keep``; S is M1-orthonormal (S^T M1 S = I). With R = M1^(-1/2) from
-        eigh(M1), the symmetric eigh(R K1 R) = V gives S = R V, for diagonal
-        and full M1 alike. eigh sorts lam ascending, so on a pure-Neumann
-        axis lam[0] = 0 is the constant mode. Returns ((S, S^T), lam), laid
-        out by ``_with_transpose``.
+        ``keep``, a slice; S is M1-orthonormal (S^T M1 S = I). With R =
+        M1^(-1/2) from eigh(M1), the symmetric eigh(R K1 R) = V gives S =
+        R V, for diagonal and full M1 alike. eigh sorts lam ascending, so on
+        a pure-Neumann axis lam[0] = 0 is the constant mode. Returns ((S,
+        S^T), lam), laid out by ``_with_transpose``, from one cache keyed by
+        the axis geometry and ``keep``: equal axes (a cube) and the pressure
+        and viscous solves of a periodic box share one factorization.
         """
-        k1, m1 = self.axis_matrices[k][:2]
-        k1, m1 = k1[keep, keep], m1[keep, keep]
-        mu, q = np.linalg.eigh(m1)
-        r = (q / np.sqrt(mu)) @ q.T
-        lam, v = np.linalg.eigh(r @ k1 @ r)
-        return _with_transpose(r @ v), lam
+        mesh = self.mesh
+        key = (mesh.elems_per_axis[k], mesh.h_axes[k], mesh.periodic[k],
+               keep.start, keep.stop)
+        if key not in self._eigenpairs:
+            k1, m1 = self.axis_matrices[k][:2]
+            k1, m1 = k1[keep, keep], m1[keep, keep]
+            mu, q = np.linalg.eigh(m1)
+            r = (q / np.sqrt(mu)) @ q.T
+            lam, v = np.linalg.eigh(r @ k1 @ r)
+            self._eigenpairs[key] = _with_transpose(r @ v), lam
+        return self._eigenpairs[key]
 
     def free_slices(self, pinned):
         """Per array axis (z, y, x) the slice of the DoF grid left free when
@@ -647,27 +654,6 @@ class GlobalOperators:
             keeps.append(slice(int(0 in cut),
                                mesh.dofs_per_axis[k] - int(1 in cut)))
         return tuple(keeps)
-
-    def _box_factors(self, pinned):
-        """Per array axis (z, y, x) the eigenvectors (S, S^T) and eigenvalues
-        lam on the sub-grid :meth:`free_slices` leaves free of ``pinned`` faces.
-
-        Factors live in one cache keyed by axis geometry and free slice, so
-        equal axes (a cube) and the pressure and diffusion solves of a
-        periodic box share them.
-        """
-        mesh = self.mesh
-        s_axes, lams = [], []
-        for a, keep in enumerate(self.free_slices(pinned)):
-            k = mesh.dim - 1 - a
-            key = (mesh.elems_per_axis[k], mesh.h_axes[k], mesh.periodic[k],
-                   keep.start, keep.stop)
-            if key not in self._eigenpairs:
-                self._eigenpairs[key] = self._axis_eigenpairs(k, keep)
-            s, lam = self._eigenpairs[key]
-            s_axes.append(s)
-            lams.append(lam)
-        return s_axes, lams
 
     def _lift_pieces(self, free, a, b):
         """The face, edge and corner slices of the grid off the sub-grid
@@ -729,13 +715,14 @@ class GlobalOperators:
         """
         cached = self._diagonals.get(pinned)
         if cached is None or cached[0] != (a, b):
-            s_axes, lams = self._box_factors(pinned)
+            dim, free = self.mesh.dim, self.free_slices(pinned)
+            s_axes, lams = zip(*(self._axis_eigenpairs(dim - 1 - i, keep)
+                                 for i, keep in enumerate(free)))
             diag = sum(np.ix_(*lams))
             diag *= b
             diag += a
             if a == 0 and diag.size == self.mesh.n_dofs:
-                diag[(0,) * self.mesh.dim] = np.inf  # drop the constant mode
-            free = self.free_slices(pinned)
+                diag[(0,) * dim] = np.inf  # drop the constant mode
             cached = ((a, b), free, self._lift_pieces(free, a, b), s_axes,
                       1.0 / diag)
             self._diagonals[pinned] = cached

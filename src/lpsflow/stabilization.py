@@ -66,6 +66,11 @@ class StabilizationConfig:
         if not 0.0 <= self.c_s <= 1.0:
             raise ValueError(f"c_s must lie in [0, 1], got {self.c_s}")
 
+    def __bool__(self):
+        """Whether it adds a term: not for mode none, nor for lps at c_s = 0."""
+        upwind = self.mode is StabilizationMode.LOW_ORDER_UPWIND
+        return upwind or self.mode is StabilizationMode.LPS and self.c_s != 0.0
+
 
 def upwind_viscosity(ops: GlobalOperators, u: VectorField) -> np.ndarray:
     """First-order upwind viscosity per element: (h^e / p) * max|u| / 2.
@@ -96,11 +101,35 @@ def low_order_term(ops: GlobalOperators, phi: ScalarField,
                    nu_elem: np.ndarray) -> ScalarField:
     """Element-scaled stiffness residual: quad(nu_e grad w . grad phi),
     on the DoF grid at a collocated rule (module docstring)."""
+    return ScalarField(ops.mesh, _form(ops, phi.values[None], nu_elem, 1.0, True)[0])
+
+
+def _form(ops: GlobalOperators, data, nu_elem, c, upwind):
+    """c times the low-order (``upwind``) or LPS form of each row of stacked
+    nodal ``data``: ``_grid_form`` at a collocated rule, else element
+    kernels. There, with f = g_h phi - grad phi at the quadrature points,
+    LPS is sum_k P_k^T a_k - quad(nu_e grad w . f), a_k = quad(nu_e w f_k)
+    assembled and P_k the nodal partial, P_k^T = G_k^T M_L^-1."""
+    out = np.empty_like(data)
     if ops.basis.collocated:
-        return ScalarField(ops.mesh, _grid_form(
-            ops, phi.values, _grid_weights(ops, nu_elem, 1.0, True)))
-    return ops.weak_div_flux(ops.grad_at_quad(phi.values),
-                             elem_scale=np.asarray(nu_elem, dtype=float))
+        weights = _grid_weights(ops, nu_elem, c, upwind)
+        for m, v in enumerate(data):
+            out[m] = _grid_form(ops, v, weights)
+        return out
+    nu = np.asarray(nu_elem, dtype=float)
+    for m, v in enumerate(data):
+        flux = ops.grad_at_quad(v)
+        if upwind:
+            out[m] = c * ops.weak_div_flux(flux, elem_scale=nu).values
+        else:
+            flux = [ops.interp_to_quad(ops.projected_partial(v, k)) - grad_q
+                    for k, grad_q in enumerate(flux)]
+            acc = ops.weak_div_flux(flux, elem_scale=nu).values
+            for k, f in enumerate(flux):
+                a_k = ops._assemble(nu[:, None] * f).reshape(ops._grid)
+                acc -= ops._apply_partial(a_k, k, transpose=True).ravel()
+            out[m] = -c * acc
+    return out
 
 
 def _grid_weights(ops: GlobalOperators, nu_elem, c, upwind):
@@ -150,25 +179,10 @@ def lps_term(ops: GlobalOperators, phi: ScalarField, nu_elem: np.ndarray,
 
     ``g_h`` is :meth:`GlobalOperators.project_gradient`, the projected
     gradient that the pressure correction applies. At a collocated rule the
-    term is a face form (module docstring). Otherwise, with f = g_h phi -
-    grad phi at the quadrature points, it is c_s [quad(nu_e grad w . f) -
-    sum_k P_k^T a_k], a_k = quad(nu_e w f_k) assembled and P_k the nodal
-    partial of axis k, so that P_k^T = G_k^T M_L^-1 with G_k the weak one.
+    term is a face form (module docstring), otherwise it is assembled by
+    element kernels (``_form``).
     """
-    if c_s == 0.0:
-        return ScalarField(ops.mesh)
-    if ops.basis.collocated:
-        return ScalarField(ops.mesh, _grid_form(
-            ops, phi.values, _grid_weights(ops, nu_elem, -c_s, False)))
-    nu = np.asarray(nu_elem, dtype=float)
-    g = ops.project_gradient(phi).data
-    flux = [ops.interp_to_quad(g_k) - grad_q
-            for g_k, grad_q in zip(g, ops.grad_at_quad(phi.values))]
-    out = ops.weak_div_flux(flux, elem_scale=nu).values
-    for k, f in enumerate(flux):
-        a_k = ops._assemble(nu[:, None] * f).reshape(ops._grid)
-        out -= ops._apply_partial(a_k, k, transpose=True).ravel()
-    return ScalarField(ops.mesh, c_s * out)
+    return ScalarField(ops.mesh, _form(ops, phi.values[None], nu_elem, -c_s, False)[0])
 
 
 def momentum_stabilization(ops: GlobalOperators, u: VectorField,
@@ -177,27 +191,14 @@ def momentum_stabilization(ops: GlobalOperators, u: VectorField,
 
     One shared element viscosity is computed from the velocity magnitude and
     applied to each component; at a collocated rule it is expanded once to
-    the DoF-grid weights, which carry the term's sign.
+    the DoF-grid weights, which carry the term's sign. Zero if the
+    configuration adds no term.
     Returned with the dissipative orientation for a right-hand-side term
     (see module docstring).
     """
-    mode = config.mode
-    if mode is StabilizationMode.NONE or (mode is StabilizationMode.LPS
-                                          and config.c_s == 0.0):
+    if not config:
         return VectorField(ops.mesh, ncomp=u.ncomp)
-    nu_elem = upwind_viscosity(ops, u)
-    upwind = mode is StabilizationMode.LOW_ORDER_UPWIND
-    out = np.empty_like(u.data)
-    if ops.basis.collocated:
-        weights = _grid_weights(ops, nu_elem,
-                                -(1.0 if upwind else config.c_s), upwind)
-        for k, v in enumerate(u.data):
-            out[k] = _grid_form(ops, v, weights)
-        return VectorField(ops.mesh, out)
-    for k in range(u.ncomp):
-        comp = ScalarField(ops.mesh, u.data[k])
-        if upwind:
-            out[k] = -low_order_term(ops, comp, nu_elem).values
-        else:
-            out[k] = lps_term(ops, comp, nu_elem, config.c_s).values
-    return VectorField(ops.mesh, out)
+    upwind = config.mode is StabilizationMode.LOW_ORDER_UPWIND
+    return VectorField(ops.mesh, _form(
+        ops, u.data, upwind_viscosity(ops, u),
+        -(1.0 if upwind else config.c_s), upwind))

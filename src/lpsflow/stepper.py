@@ -151,9 +151,8 @@ class Stepper:
         self.ops = ops
         self.physics = physics
         self.scheme = scheme
-        self.stabilization = stabilization or StabilizationConfig(
-            StabilizationMode.NONE, 1.0
-        )
+        self.stabilization = (StabilizationConfig(StabilizationMode.NONE)
+                              if stabilization is None else stabilization)
         self.convective_form = ConvectiveForm.coerce(convective_form)
         self.boundary = boundary or build_boundary_data(ops.mesh)
         self.pressure = ScalarField(ops.mesh)
@@ -165,7 +164,7 @@ class Stepper:
         rows. Formed in the convective term's own array."""
         rhs = self.ops.project_convection(u, self.convective_form).data
         np.negative(rhs, out=rhs)
-        if self.stabilization.mode is not StabilizationMode.NONE:
+        if self.stabilization:
             s = momentum_stabilization(self.ops, u, self.stabilization).data
             s *= self.ops._inv_lumped
             rhs += s

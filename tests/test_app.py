@@ -158,6 +158,7 @@ class TestConfig:
         (("scheme", "rk"), list(RK_STAGES)),
         (("stabilization", "stabilization"), [m.value for m in StabilizationMode]),
         (("scheme", "convective_form"), [f.value for f in ConvectiveForm]),
+        (("case", "name"), list(PRESETS)),
     ])
     def test_name_lists_follow_their_owners(self, seckey, names):
         for name in names:
@@ -579,6 +580,17 @@ class TestCli:
         for command in ("check-config", "run"):
             assert main([command, str(path), "--set", override]) == EXIT_CONFIG
             assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_on_custom_is_a_config_error_without_output(self, tmp_path,
+                                                           capsys):
+        # The CLI cannot pass an initial condition; check-config accepts the
+        # case, since library callers pass one.
+        path = tmp_path / "c.ini"
+        path.write_text(f"[case]\nname = custom\n[output]\ndir = {tmp_path / 'o'}\n")
+        assert main(["check-config", str(path)]) == EXIT_OK
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert "no built-in initial condition" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_file_exit_code(self):

@@ -197,8 +197,9 @@ class TestPartialNear:
                                                   over, rng):
         # Walls on y, outflow on x (2D) or z (3D), periodic x in 3D. Rows:
         # the face row at either end of every axis and the element band M1
-        # couples to it; the face row also from values held on the band M1
-        # or G1 couples to it, every row either factor on the axis reads.
+        # couples to it; the face row also from values cut to the band its
+        # factor on the axis reads, G1's row for k = axis and M1's (the face
+        # row itself at a collocated rule) otherwise.
         tags = periodic_tags(dim)
         tags.update(y_min="wall", y_max="wall")
         out = "x" if dim == 2 else "z"
@@ -220,14 +221,26 @@ class TestPartialNear:
 
                 for i in (0, grid[j] - 1):
                     m1, g1 = (m[i] for m in ops.axis_matrices[axis][1:3])
-                    face, band = slice(i, i + 1), _band(m1)
-                    for rows in (face, band):
+                    face = slice(i, i + 1)
+                    for rows in (face, _band(m1)):
                         got = ops.partial_near(values, k, axis, rows)
                         assert close_to(got, cut(want, rows), rel=1e-13)
-                    reach = _band(np.abs(m1) + np.abs(g1))
-                    held = cut(values.reshape(grid), reach)
-                    got = ops.partial_near(held, k, axis, face, reach)
+                    band = _band(g1 if k == axis else m1)
+                    got = ops.partial_near(cut(values.reshape(grid), band),
+                                           k, axis, face)
                     assert close_to(got, cut(want, face), rel=1e-13)
+
+    def test_cut_narrower_than_its_band_raises(self, rng):
+        # The x-partial of the x = 0 face row reads G1's row there, p + 1
+        # columns wide; values cut one row short of it are refused, not
+        # read off by one.
+        mesh = walled_mesh(2, 3, 3, "equispaced")
+        ops = GlobalOperators(mesh)
+        grid = rng.standard_normal(mesh.dofs_per_axis[::-1])
+        band = _band(ops.axis_matrices[0][2][0])
+        assert band == slice(0, 4)
+        with pytest.raises(ValueError):
+            ops.partial_near(grid[:, :3], 0, 0, slice(0, 1))
 
 
 class TestWeakLaplacian:
