@@ -4,7 +4,8 @@ A ``Basis1D`` bundles everything the tensor-product kernels need: node
 positions on [-1, 1], a quadrature rule, and matrices evaluating the basis
 (and its derivative) at the quadrature points. With GLL nodes the quadrature
 points coincide with the nodes and the evaluation matrix is the identity,
-which is what makes the mass matrix diagonal.
+which is what makes the mass matrix diagonal. Every one is built by
+``_basis`` from its nodes and rule.
 """
 
 import math
@@ -90,21 +91,16 @@ def _barycentric_weights(nodes):
 
 
 def lagrange_eval_matrix(nodes, points):
-    """Matrix B with B[q, j] = l_j(points[q]) for the Lagrange basis on nodes."""
+    """Matrix B with B[q, j] = l_j(points[q]) for the Lagrange basis on nodes,
+    in barycentric form; a point that is a node gets its unit row exactly."""
     nodes = np.asarray(nodes, dtype=float)
-    points = np.asarray(points, dtype=float)
-    w = _barycentric_weights(nodes)
-    B = np.empty((points.size, nodes.size))
-    for q, y in enumerate(points):
-        d = y - nodes
-        hit = np.flatnonzero(d == 0.0)
-        if hit.size:
-            row = np.zeros(nodes.size)
-            row[hit[0]] = 1.0
-        else:
-            row = w / d
-            row /= row.sum()
-        B[q] = row
+    d = np.asarray(points, dtype=float).reshape(-1, 1) - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        B = _barycentric_weights(nodes) / d
+        B /= B.sum(axis=1, keepdims=True)
+    hit = d == 0.0
+    exact = hit.any(axis=1)
+    B[exact] = hit[exact]
     return B
 
 
@@ -145,26 +141,7 @@ class Basis1D:
 
     def with_quadrature(self, quad_nodes, quad_weights):
         """Same nodal basis evaluated on a different quadrature rule."""
-        quad_nodes = np.asarray(quad_nodes, dtype=float)
-        B = lagrange_eval_matrix(self.nodes, quad_nodes)
-        collocated = quad_nodes.size == self.nodes.size and np.array_equal(
-            quad_nodes, self.nodes
-        )
-        if collocated:
-            B, Dq = np.eye(self.nodes.size), self.diff_matrix
-        else:
-            # l'_j has degree p-1, so its nodal interpolant is exact.
-            Dq = B @ self.diff_matrix
-        return Basis1D(
-            order=self.order,
-            nodes=self.nodes,
-            quad_nodes=quad_nodes,
-            quad_weights=np.asarray(quad_weights, dtype=float),
-            diff_matrix=self.diff_matrix,
-            eval_matrix=B,
-            quad_diff_matrix=Dq,
-            collocated=collocated,
-        )
+        return _basis(self.nodes, quad_nodes, quad_weights)
 
     def over_integrated(self):
         """Copy of this basis with a Gauss-Legendre rule exact to degree 3p.
@@ -177,57 +154,58 @@ class Basis1D:
         return self.with_quadrature(xq, wq)
 
 
-def _make_basis(nodes):
-    """Nodal basis on ``nodes`` with the GLL rule of the same order."""
+def _basis(nodes, quad_nodes, quad_weights):
+    """Every ``Basis1D``: the nodal basis on ``nodes`` with a quadrature
+    rule, collocated if the two point sets are bitwise equal."""
     nodes = np.asarray(nodes, dtype=float)
-    p = nodes.size - 1
-    xq, wq = gll_nodes_weights(p)
-    if np.allclose(nodes, xq, atol=1e-14):
-        # Snap to the quadrature points so node/quad coordinates are bitwise
-        # identical and the mass matrix is exactly diagonal.
-        nodes = xq
+    quad_nodes = np.asarray(quad_nodes, dtype=float)
     D = differentiation_matrix(nodes)
-    base = Basis1D(
-        order=p,
+    collocated = np.array_equal(quad_nodes, nodes)
+    if collocated:
+        B, Dq = np.eye(nodes.size), D
+    else:
+        B = lagrange_eval_matrix(nodes, quad_nodes)
+        Dq = B @ D  # l'_j has degree p-1, so its nodal interpolant is exact
+    return Basis1D(
+        order=nodes.size - 1,
         nodes=nodes,
-        quad_nodes=nodes,  # placeholder, replaced below
-        quad_weights=np.empty(0),
+        quad_nodes=quad_nodes,
+        quad_weights=np.asarray(quad_weights, dtype=float),
         diff_matrix=D,
-        eval_matrix=np.eye(p + 1),
-        quad_diff_matrix=D,
-        collocated=True,
+        eval_matrix=B,
+        quad_diff_matrix=Dq,
+        collocated=collocated,
     )
-    return base.with_quadrature(xq, wq)
 
 
 def gll_basis(p):
     """Spectral basis: GLL nodes with collocated GLL quadrature."""
-    xq, _ = gll_nodes_weights(p)
-    return _make_basis(xq)
+    x, w = gll_nodes_weights(p)
+    return _basis(x, x, w)
 
 
 def equispaced_basis(p):
     """Standard Lagrange basis on uniform nodes, GLL quadrature of order p.
 
     For p <= 2 the uniform nodes coincide with the GLL points and the basis
-    is identical to :func:`gll_basis`. For p >= 3 the quadrature points
-    differ from the nodes, the consistent mass is non-diagonal, and lumping
-    is by row sum.
+    is :func:`gll_basis`, bitwise (the nodes snap to the GLL points). For
+    p >= 3 the quadrature points differ from the nodes, the consistent mass
+    is non-diagonal, and lumping is by row sum.
     """
-    if p < 1:
-        raise ValueError(f"order must be >= 1, got {p}")
+    x, w = gll_nodes_weights(p)
     nodes = np.linspace(-1.0, 1.0, p + 1)
-    return _make_basis(nodes)
+    return _basis(x if np.allclose(nodes, x, atol=1e-14) else nodes, x, w)
+
+
+_SPACINGS = {"gll": gll_basis, "equispaced": equispaced_basis}
 
 
 def make_basis(p, spacing):
-    """Dispatch on spacing name ('gll' or 'equispaced')."""
-    spacing = spacing.lower()
-    if spacing == "gll":
-        return gll_basis(p)
-    if spacing == "equispaced":
-        return equispaced_basis(p)
-    raise ValueError(f"unknown node spacing {spacing!r}")
+    """The basis of a spacing name ('gll' or 'equispaced')."""
+    make = _SPACINGS.get(spacing.lower())
+    if make is None:
+        raise ValueError(f"unknown node spacing {spacing!r}")
+    return make(p)
 
 
 def apply_along_axis(mat, values, axis):

@@ -124,8 +124,6 @@ def wall_pressure_neumann(ops: GlobalOperators, bdata: BoundaryData,
     mesh = ops.mesh
     if mesh.dim < 2:
         raise ValueError("rotational pressure condition needs dim >= 2")
-    if not bdata.has_walls or nu == 0.0:
-        return {f.name: np.zeros(f.dof_ids.size) for f in bdata.wall_faces}
     out = {}
     for f in bdata.wall_faces:
         a, i = f.axis, f.side * (mesh.dofs_per_axis[f.axis] - 1)

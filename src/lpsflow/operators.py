@@ -20,7 +20,7 @@ curl, and the weak gradient and divergence are it times the lumped mass.
 Convection at a collocated rule is evaluated on the DoF grid from the same
 partials, since the lumped scatter of W f is M_L f at the nodes. Both
 stabilizations there are weighted forms of 1D broken derivatives per axis
-(``face_jumps``), F^T (W * F phi): the low-order one of every element's
+(``face_jumps``), A^T (W * A phi): the low-order one of every element's
 own derivative, the projection one of its jumps across element faces. So
 a collocated step runs no element kernel.
 
@@ -33,15 +33,8 @@ with ``np.bincount``. The blocks follow from the basis alone.
 
 Local DoFs are ordered (z, y, x) with x fastest, matching the global
 numbering; quadrature points use the same flat ordering.
-
-Building an operator set raises glibc's mmap and trim thresholds so that a
-warm step reuses freed heap memory instead of page-faulting it back in.
-After a first step it also writes one step-sized array's worth of heap
-above that step's peak (``reserve_heap``), so that a later step whose
-arrays land in another order grows into resident pages.
 """
 
-import ctypes
 import itertools
 from functools import cached_property, reduce
 from operator import iadd
@@ -185,67 +178,6 @@ def _diagonalized_solve(x, s_axes, inv, first_axis=0):
     return apply_kron([s for s, _ in s_axes], x, first_axis)
 
 
-_held_bytes = 0  # mmap threshold set so far; mallopt is process-wide
-
-
-def _hold_freed_arrays(nbytes):
-    """Raise glibc's mmap threshold to 2 nbytes (1 to 32 MiB) and its trim
-    threshold to 32 times that, never lowering them, so that a step's freed
-    arrays stay in the heap rather than being page-faulted back in. Sized
-    from the mesh: a fixed 1 MiB faults more than glibc's own at 32^3 P1,
-    and the trim threshold stays resident after a peak. No-op off glibc."""
-    global _held_bytes
-    mmap_threshold = min(max(2 * nbytes, 1 << 20), 32 << 20)
-    if mmap_threshold <= _held_bytes:
-        return
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3
-    if (mallopt(m_mmap_threshold, mmap_threshold)
-            and mallopt(m_trim_threshold, 32 * mmap_threshold)):
-        _held_bytes = mmap_threshold
-
-
-class _MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
-        "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-
-_reserved_arena = 0  # heap size after the last reserve, process-wide
-
-
-def _reserve_heap(nbytes):
-    """Grow glibc's heap by nbytes of written pages and free them again:
-    with the trim threshold held they stay resident in the top chunk.
-    After a first step, a warm step whose freed arrays fragment the heap
-    differently (which depends on the allocation history, even on the
-    interpreter's own allocator) grows into these pages instead of
-    faulting new ones in. Skipped while the heap has not grown since the
-    last reserve, so operator sets built one after another do not stack
-    reserves. No-op unless ``_hold_freed_arrays`` took effect, since the
-    blocks must stay below the mmap threshold."""
-    global _reserved_arena
-    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
-    if mallinfo2 is None or not _held_bytes:
-        return
-    mallinfo2.restype = _MallInfo2
-    start = mallinfo2()
-    if start.arena <= _reserved_arena:
-        return
-    chunk = min(nbytes, _held_bytes // 2)
-    blocks = []
-    # Each block either fills free heap or grows it, so this bound holds.
-    for _ in range((start.fordblks + nbytes) // chunk + 2):
-        if mallinfo2().arena - start.arena >= nbytes:
-            break
-        blocks.append(np.ones(chunk // 8))
-    _reserved_arena = mallinfo2().arena
-
-
 class GlobalOperators:
     """Matrix-free actions of mass, gradient, divergence, Laplacian, ...
 
@@ -275,17 +207,6 @@ class GlobalOperators:
         self._eigenpairs = {}  # see _axis_eigenpairs
         self._diagonals = {}  # see solve_helmholtz
         self._face_blocks = {}  # see partial_near
-        self._step_bytes = 8 * dim * mesh.n_dofs  # a stacked vector field
-        self._heap_reserved = False
-        _hold_freed_arrays(self._step_bytes)
-
-    def reserve_heap(self):
-        """Once per operator set, after a first step has set the heap's
-        peak: write a step's largest array's worth of heap above it (see
-        ``_reserve_heap``). Costs that much resident memory."""
-        if not self._heap_reserved:
-            self._heap_reserved = True
-            _reserve_heap(self._step_bytes)
 
     # -- kernels ---------------------------------------------------------------
 
@@ -586,10 +507,13 @@ class GlobalOperators:
           axis has N_k faces, a non-periodic one only its N_k - 1 interior
           faces.
         - X (n_k x N_k): element values to nodes, entries w h_k / 2.
-        - left, right: the element index on either side of every face.
+        - R (N_k (p+1) x N_k), F (faces x N_k): the low-order and LPS
+          weights per unit nu_e, element values to B's rows with entries
+          w h_k / 2 and to C's faces with (h_k / 8) w_0 from each side
+          (every collocated rule is GLL, whose end weights are equal).
 
-        Each matrix is Fortran-ordered, with its transpose kept beside it
-        (``_with_transpose``).
+        Each matrix is Fortran-ordered; B and C keep their transpose beside
+        them (``_with_transpose``).
         """
         mesh, b = self.mesh, self.basis
         D, w, p = b.quad_diff_matrix, b.quad_weights, b.order
@@ -605,8 +529,12 @@ class GlobalOperators:
             jump = broken[right * (p + 1)] - broken[left * (p + 1) + p]
             expand = np.zeros((n, n_el), order="F")
             np.add.at(expand, (ids, np.arange(n_el)[:, None]), (0.5 * h) * w)
+            eye = np.eye(n_el)
+            to_rows = np.asfortranarray(np.kron(eye, (0.5 * h) * w[:, None]))
+            to_faces = np.asfortranarray((0.125 * h * w[0])
+                                         * (eye[left] + eye[right]))
             out.append((_with_transpose(broken), _with_transpose(jump),
-                        expand, left, right))
+                        expand, to_rows, to_faces))
         return out
 
     @cached_property

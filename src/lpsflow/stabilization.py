@@ -12,16 +12,18 @@ the fractional step's own stabilization (Codina 2001); with nu_e constant
 it equals the one-sided c_s (nu_e grad w, g_h phi - grad phi).
 
 At a collocated rule (GLL, or equispaced p <= 2) both terms are, per axis
-k, F^T (W * F phi) on the (z, y, x) DoF grid, with the 1D matrices of
-:attr:`GlobalOperators.face_jumps`. The low-order term takes F = B, every
+k, A^T (W * A phi) on the (z, y, x) DoF grid, with the 1D matrices of
+:attr:`GlobalOperators.face_jumps`. The low-order term takes A = B, every
 element's own derivative at its nodes, and W nu_e times their quadrature
 weights (Deville, Fischer & Mund 2002, sec. 4). For LPS, g_h phi - grad phi
 is zero except on inter-element faces normal to k (g_h is one-sided on a
-boundary face). There it is w_0 J / (w_0 + w_p) on the left element's node
-and -w_p J / (w_0 + w_p) on the right's, J the jump of the one-sided
-normal derivative; so F = C, the jumps, and W carries those squared
-shares: an interior penalty on gradient jumps (Burman & Hansbo 2004). W
-takes its axis-k step on the element grid, then its tangential expansion.
+boundary face). There it is J / 2 on the left element's node and -J / 2
+on the right's, J the jump of the one-sided normal derivative (the end
+weights of a collocated rule are equal); so A = C, the jumps, and W
+carries those squared halves: an interior penalty on gradient jumps
+(Burman & Hansbo 2004). W is V = c nu_e taken along axis k by R (to B's
+rows) or F (to C's faces), the weights per unit nu_e, then along every
+other axis by X to the nodes.
 Off collocation (equispaced p >= 3, over-integrated rules) both terms are
 assembled by element kernels at the quadrature points.
 
@@ -133,36 +135,23 @@ def _form(ops: GlobalOperators, data, nu_elem, c, upwind):
 
 
 def _grid_weights(ops: GlobalOperators, nu_elem, c, upwind):
-    """Per axis k, the ((F, F^T), W) of ``_grid_form`` from V = c nu_e,
-    formed on the element grid first: the low-order term's B and V times
-    w h_k / 2 at each element's nodes, or LPS's C and (h_k / 2) beta (w_0
-    V_left + w_p V_right) / (w_0 + w_p) at every face, beta = w_0 w_p /
-    (w_0 + w_p). X of every other axis then expands it tangentially."""
-    mesh = ops.mesh
-    dim, p, w = mesh.dim, mesh.order, ops.basis.quad_weights
-    nu = c * np.asarray(nu_elem, dtype=float).reshape(
-        mesh.elems_per_axis[::-1])
+    """Per axis k, the ((A, A^T), W) of ``_grid_form``: V = c nu_e taken
+    along axis k by R or F, then along every other axis by X."""
+    dim = ops.mesh.dim
+    nu = c * np.reshape(nu_elem, ops.mesh.elems_per_axis[::-1])
     out = []
-    for k, (broken, jump, _, left, right) in enumerate(ops.face_jumps):
-        ax = dim - 1 - k
-        if upwind:
-            node_w = np.tile(0.5 * mesh.h_axes[k] * w, mesh.elems_per_axis[k])
-            mats, v = broken, apply_along_axis(
-                node_w, np.repeat(nu, p + 1, axis=ax), ax)
-        else:
-            scale = 0.5 * mesh.h_axes[k] * w[0] * w[p] / (w[0] + w[p]) ** 2
-            mats, v = jump, scale * (w[0] * np.take(nu, left, axis=ax)
-                                     + w[p] * np.take(nu, right, axis=ax))
+    for k, (broken, jump, _, to_rows, to_faces) in enumerate(ops.face_jumps):
+        v = apply_along_axis(to_rows if upwind else to_faces, nu, dim - 1 - k)
         for a in range(dim):
             if a != k:
                 v = apply_along_axis(ops.face_jumps[a][2], v, dim - 1 - a)
-        out.append((mats, v))
+        out.append((broken if upwind else jump, v))
     return out
 
 
 def _grid_form(ops: GlobalOperators, values, weights):
     """A stabilization form of one nodal field on the DoF grid: per axis k,
-    F^T (W * F phi), both matrices contracted along axis k."""
+    A^T (W * A phi), both matrices contracted along axis k."""
     grid = values.reshape(ops.mesh.dofs_per_axis[::-1])
     out = None
     for k, ((mat, mat_t), w) in enumerate(weights):

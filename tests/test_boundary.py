@@ -157,6 +157,20 @@ class TestWallPressureNeumann:
         for f in bd.wall_faces:
             assert np.max(np.abs(flux[f.name])) == 0.0
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_viscosity_gives_a_zero_datum(self, dim, rng):
+        # nu = 0 takes the path of any nu: the datum is zero, of either
+        # sign, on every wall face, whatever the velocity.
+        mesh = tagged_box(dim, "periodic x", (3, 2, 2)[:dim], 2)
+        ops = GlobalOperators(mesh)
+        bd = build_boundary_data(mesh)
+        u = VectorField(mesh, rng.standard_normal((dim, mesh.n_dofs)))
+        flux = wall_pressure_neumann(ops, bd, u, nu=0.0)
+        assert sorted(flux) == sorted(f.name for f in bd.wall_faces)
+        for f in bd.wall_faces:
+            assert flux[f.name].shape == f.dof_ids.shape
+            assert np.all(flux[f.name] == 0.0)
+
     def test_rigid_rotation_flux_vanishes(self):
         # u = Omega x r has constant curl, so curl(curl u) = 0.
         mesh = walled_mesh(2, 3, 3)

@@ -163,6 +163,31 @@ class TestLowOrderTerm:
         assert phi.values @ got >= -1e-12 * scale
 
 
+class TestWeightsPerUnitViscosity:
+    """``face_jumps``' R and F, which take element viscosity to the
+    low-order and LPS weights per unit nu_e."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("walled", [False, True], ids=["periodic", "walled"])
+    def test_row_sums(self, p, walled):
+        # One element on y where a periodic axis allows it: its one face
+        # has the same element on either side.
+        mesh = build_structured_mesh(
+            3, [(0.0, 1.0), (-1.0, 0.5), (0.25, 1.0)], (3, 1 if p > 1 else 2, 2),
+            p, "gll", wall_tags(3) if walled else periodic_tags(3))
+        ops = GlobalOperators(mesh)
+        w = ops.basis.quad_weights
+        for k, (_, (jump, _), _, to_rows, to_faces) in enumerate(ops.face_jumps):
+            h, n_el = mesh.h_axes[k], mesh.elems_per_axis[k]
+            assert to_faces.shape == (jump.shape[0], n_el)
+            assert to_faces.shape[0] == n_el - walled
+            beta = 0.5 * h * w[0] * w[p] / (w[0] + w[p])
+            assert close_to(to_faces @ np.ones(n_el),
+                            np.full(n_el - walled, beta), rel=1e-15)
+            assert close_to(to_rows @ np.ones(n_el),
+                            np.tile(0.5 * h * w, n_el), rel=1e-15)
+
+
 class TestLpsTerm:
     def test_cs_zero(self, rng):
         mesh = periodic_mesh(2, 3, 2)

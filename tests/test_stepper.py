@@ -4,6 +4,7 @@ from dataclasses import fields
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -536,9 +537,9 @@ class TestDiffusionPreconditioner:
 
 
 # Minor page faults over two warm ssprk3 + LPS steps of an n^3 GLL Pp
-# Taylor-Green set-up, after a smaller operator set has been built. At 32^3
-# P1 the element arrays (2 MiB) exceed the 1 MiB mmap threshold a 2^2 P1
-# set asks for, so that case fails if a smaller set lowers the thresholds.
+# Taylor-Green set-up, after a Stepper on a smaller mesh has been built, as
+# a run that builds a second Stepper would (the never-lowering rule itself
+# is TestHeapPolicyOwner::test_thresholds_never_lower).
 # With a third argument "walled" the box is a lid-driven cavity instead:
 # walls all round and the lid at y = 2 pi moving in x, so the viscous solve
 # lifts the lid velocity and the pressure takes the wall Neumann datum.
@@ -577,13 +578,74 @@ t = 0.0
 for _ in range(2):
     u, rep = st.step(u, t)
     t = rep.t
-lf.GlobalOperators(box(2, 2, 1))
+lf.Stepper(lf.GlobalOperators(box(2, 2, 1)), lf.PhysicalParams(1.0),
+           lf.TimeScheme(dt=0.01))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(2):
     u, rep = st.step(u, t)
     t = rep.t
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+_HELD_STATE = """
+import numpy as np
+import lpsflow as lf
+from lpsflow import stepper
+from lpsflow.diagnostics import compute_record
+from lpsflow.mesh import periodic_tags
+
+mesh = lf.build_structured_mesh(3, [(0.0, 2.0 * np.pi)] * 3, (4,) * 3, 2,
+                                "gll", periodic_tags(3))
+ops = lf.GlobalOperators(mesh)
+u = lf.VectorField.from_function(mesh, np.sin)
+lf.solve_poisson(ops, ops.weak_divergence(u))
+compute_record(ops, u, 0.01, lf.StabilizationConfig("lps", 1.0), 0.0)
+print(stepper._held_bytes, stepper._reserved_arena)
+lf.Stepper(ops, lf.PhysicalParams(0.01), lf.TimeScheme(dt=0.01))
+print(stepper._held_bytes)
+"""
+
+
+class TestHeapPolicyOwner:
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="the C library has no mallopt (not glibc)")
+    def test_only_a_stepper_raises_the_thresholds(self):
+        # A fresh process, since the thresholds are process-wide: an
+        # operator set used for a solve and a record leaves malloc alone,
+        # and building a Stepper raises them.
+        src = str(Path(lpsflow.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", _HELD_STATE], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True).stdout.split()
+        assert out[:2] == ["0", "0"]
+        assert int(out[2]) >= 1 << 20
+
+    def test_thresholds_never_lower(self, monkeypatch):
+        # A stand-in C library records the mallopt calls, so no process-wide
+        # setting changes. The warm-step fault counts above cannot see a
+        # lowered threshold, since a held heap serves large blocks from its
+        # top chunk, so the rule is checked here: a smaller request, or a
+        # Stepper on a smaller mesh, leaves the thresholds alone.
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        heap = lpsflow.stepper
+        monkeypatch.setattr(heap, "_held_bytes", 0)
+        monkeypatch.setattr(heap.ctypes, "CDLL",
+                            lambda name: SimpleNamespace(mallopt=mallopt))
+        heap._hold_freed_arrays(3 << 20)
+        heap._hold_freed_arrays(1 << 10)
+        make_stepper(periodic_mesh(2, 2, 1))
+        assert calls == [(-3, 6 << 20), (-1, 192 << 20)]
+        heap._hold_freed_arrays(64 << 20)
+        assert calls[2:] == [(-3, 32 << 20), (-1, 1 << 30)]
+        assert heap._held_bytes == 32 << 20
 
 
 class TestHeldHeap:
