@@ -20,7 +20,7 @@ from . import __version__
 from .cases import PRESETS
 from .config import ConfigError, RunConfig
 from .diagnostics import compute_record, write_csv
-from .mesh import build_structured_mesh, periodic_tags
+from .mesh import build_structured_mesh
 from .operators import GlobalOperators, VectorField
 from .snapshot import write_snapshot
 from .stepper import LinearSolveError, SolverAbort, Stepper, solve_poisson
@@ -42,16 +42,8 @@ class RunResult:
 
 
 def build_mesh(cfg: RunConfig):
-    """Mesh for the configured case (periodic [0, 2*pi]^d boxes)."""
-    dim = cfg.get("mesh", "dim")
-    return build_structured_mesh(
-        dim,
-        cfg.domain_extents(),
-        cfg.get("mesh", "n"),
-        cfg.get("mesh", "p"),
-        cfg.get("mesh", "spacing"),
-        periodic_tags(dim),
-    )
+    """Mesh for the configured case (:meth:`RunConfig.mesh_request`)."""
+    return build_structured_mesh(**cfg.mesh_request())
 
 
 def initial_velocity(cfg: RunConfig, mesh):

@@ -31,11 +31,9 @@ class RootFindingError(RuntimeError):
 
 
 def _legendre_and_deriv(n, x):
-    """Evaluate L_n(x) and L'_n(x) by the three-term recurrence."""
+    """Evaluate L_n(x) and L'_n(x), n >= 1, by the three-term recurrence."""
     x = np.asarray(x, dtype=float)
     p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
     p = x.copy()
     for k in range(1, n):
         p_next = ((2 * k + 1) * x * p - k * p_prev) / (k + 1)

@@ -22,7 +22,7 @@ __all__ = [
 SHEAR_LAYER_WIDTH = np.pi / 15.0
 SHEAR_LAYER_PERTURBATION = 0.05
 
-_TWO_PI = 2.0 * np.pi
+_TWO_PI = 2.0 * np.pi  # the period of the built-in cases and of a config's box
 
 
 def _require_periodic_box(mesh, dim, what):

@@ -16,22 +16,19 @@ def _build_parser():
                     "projection-based stabilization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_args = argparse.ArgumentParser(add_help=False)
+    config_args.add_argument("config", help="INI config file or run.json manifest")
+    config_args.add_argument("--set", dest="overrides", action="append",
+                             default=[], metavar="SECTION.KEY=VALUE",
+                             help="override one config entry (repeatable)")
 
-    p_run = sub.add_parser("run", help="execute a configured run")
-    p_run.add_argument("config", help="INI config file or run.json manifest")
-    p_run.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE",
-                       help="override one config entry (repeatable)")
+    p_run = sub.add_parser("run", parents=[config_args],
+                           help="execute a configured run")
     p_run.add_argument("--quiet", action="store_true",
                        help="suppress per-record progress lines")
-
     sub.add_parser("presets", help="list the built-in case presets")
-
-    p_check = sub.add_parser("check-config",
-                             help="resolve and echo a config without running")
-    p_check.add_argument("config")
-    p_check.add_argument("--set", dest="overrides", action="append", default=[],
-                         metavar="SECTION.KEY=VALUE")
+    sub.add_parser("check-config", parents=[config_args],
+                   help="resolve and echo a config without running")
     return parser
 
 
@@ -74,10 +71,7 @@ def main(argv=None):
         if args.command == "check-config":
             return _cmd_check(args)
         return _cmd_run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -14,7 +14,7 @@ import os
 from dataclasses import fields
 
 from .basis import make_basis
-from .cases import PRESETS
+from .cases import _TWO_PI, PRESETS
 from .mesh import MeshError, check_mesh_request, periodic_tags
 from .operators import ConvectiveForm
 from .snapshot import snapshot_writer
@@ -59,8 +59,6 @@ _SCHEMA = {
     ("output", "snapshot_every"): (float, 0.0),  # time units; 0 disables
     ("output", "snapshot_format"): (str, "vtk"),
 }
-
-_TWO_PI = 2.0 * math.pi
 
 
 def parse_overrides(pairs):
@@ -128,16 +126,21 @@ class RunConfig:
         return cfg
 
     def _normalize(self):
-        v = self.values
+        v, case = self.values, PRESETS[self.case]
         dim = v[("mesh", "dim")]
+        # A built-in initial velocity fixes the dim, before n is read by it.
+        case_dim = case.values.get(("mesh", "dim"))
+        if case.initial_velocity is not None and dim != case_dim:
+            raise ConfigError(f"case {self.case} requires dim={case_dim}")
         n = _parse_int_tuple(v[("mesh", "n")])
         if len(n) == 1:
             n = n * dim
         v[("mesh", "n")] = n
         # Before the automatic dt below divides by the element size and p.
         try:
-            check_mesh_request(dim, self.domain_extents(), n,
-                               v[("mesh", "p")], periodic_tags(dim))
+            box = self.mesh_request()
+            del box["spacing"]  # checked by the basis in _validate
+            check_mesh_request(**box)
         except MeshError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -161,13 +164,11 @@ class RunConfig:
         if not (math.isfinite(target) and target > 0.0):
             raise ConfigError("[scheme] auto_dt_cfl must be finite and "
                               f"positive, got {target}")
-        if v[("scheme", "dt")] <= 0.0 and PRESETS[self.case].steps:
-            extents = self.domain_extents()
-            h_min = min(
-                (b - a) / nk for (a, b), nk in zip(extents, v[("mesh", "n")])
-            )
+        if v[("scheme", "dt")] <= 0.0 and case.steps:
+            h_min = min((b - a) / nk for (a, b), nk
+                        in zip(box["extents"], box["elems_per_axis"]))
             speed = max(v[("physics", "V0")], 1e-30)
-            dt_raw = target * h_min / (v[("mesh", "p")] * speed)
+            dt_raw = target * h_min / (box["order"] * speed)
             t_end = v[("scheme", "t_end")]
             if math.isfinite(t_end) and t_end > 0.0:  # else TimeScheme rejects it
                 v[("scheme", "dt")] = t_end / math.ceil(t_end / dt_raw)
@@ -175,9 +176,6 @@ class RunConfig:
     def _validate(self):
         """Check every value through the object that owns its rule."""
         v, case = self.values, PRESETS[self.case]
-        dim = case.values.get(("mesh", "dim"))
-        if case.initial_velocity is not None and v[("mesh", "dim")] != dim:
-            raise ConfigError(f"case {self.case} requires dim={dim}")
         try:
             make_basis(v[("mesh", "p")], v[("mesh", "spacing")])
             ConvectiveForm.coerce(v[("scheme", "convective_form")])
@@ -206,9 +204,15 @@ class RunConfig:
 
     # -- derived views -------------------------------------------------------
 
-    def domain_extents(self):
-        dim = self.values[("mesh", "dim")]
-        return [(0.0, _TWO_PI)] * dim
+    def mesh_request(self):
+        """The box this run lives on, a periodic [0, 2 pi]^dim, as the
+        keyword arguments of :func:`lpsflow.mesh.build_structured_mesh`."""
+        v = self.values
+        dim = v[("mesh", "dim")]
+        return dict(dim=dim, extents=[(0.0, _TWO_PI)] * dim,
+                    elems_per_axis=v[("mesh", "n")], order=v[("mesh", "p")],
+                    spacing=v[("mesh", "spacing")],
+                    boundary_tags=periodic_tags(dim))
 
     def output_dir(self):
         env = os.environ.get("LPSFLOW_OUTPUT_DIR")
@@ -225,28 +229,20 @@ class RunConfig:
 
 def load_config(path, overrides=None):
     """Load a run configuration from an INI file or a run.json manifest."""
-    if str(path).endswith(".json"):
-        with open(path) as fh:
-            manifest = json.load(fh)
-        nested = manifest.get("config", manifest)
-        values = {}
-        for section, body in nested.items():
-            for key, value in body.items():
-                if isinstance(value, list):
-                    value = tuple(value)
-                values[(section, key)] = value
-        return RunConfig.resolve(file_values=values, overrides=overrides)
-
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as fh:
-            parser.read_file(fh)
+            if str(path).endswith(".json"):
+                manifest = json.load(fh)
+                nested = manifest.get("config", manifest)
+            else:
+                parser.read_file(fh)
+                nested = {section: dict(parser.items(section))
+                          for section in parser.sections()}
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, json.JSONDecodeError) as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
-    values = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            values[(section, key)] = value
+    values = {(section, key): tuple(value) if isinstance(value, list) else value
+              for section, body in nested.items() for key, value in body.items()}
     return RunConfig.resolve(file_values=values, overrides=overrides)

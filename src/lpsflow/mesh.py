@@ -58,11 +58,14 @@ def face_names(dim):
     """The 2*dim face-set names of a dim-dimensional box, e.g. 'x_min'."""
     if dim not in (1, 2, 3):
         raise MeshError(f"dim must be 1, 2 or 3, got {dim}")
-    names = []
-    for k in range(dim):
-        names.append(f"{_AXIS_NAMES[k]}_min")
-        names.append(f"{_AXIS_NAMES[k]}_max")
-    return names
+    return [f"{_AXIS_NAMES[k]}_{end}" for k in range(dim) for end in ("min", "max")]
+
+
+def _tensor_points(axes):
+    """The tensor product of the 1D coordinates ``axes`` (x first) as a
+    (points, dim) array in the DoF order, x fastest."""
+    grids = np.meshgrid(*axes[::-1], indexing="ij")  # (z, y, x) order
+    return np.stack([g.ravel() for g in grids[::-1]], axis=1)
 
 
 def periodic_tags(dim):
@@ -122,11 +125,13 @@ class Mesh:
         self.nodes_per_elem = (self.order + 1) ** dim
 
         self._axis_dof_maps = [self._axis_dof_map(k) for k in range(dim)]
-        self._axis_coords = [self._axis_coordinates(k) for k in range(dim)]
         dof_grid = np.arange(self.n_dofs).reshape(self.dofs_per_axis[::-1])
         self.elem_to_dofs = self._build_elem_to_dofs(dof_grid)
-        self.node_coords = self._build_node_coords()
-        self.elem_origins = self._build_elem_origins()
+        self.node_coords = _tensor_points(
+            [self._axis_coordinates(k) for k in range(dim)])
+        self.elem_origins = _tensor_points(
+            [a + np.arange(n) * h for (a, _), n, h
+             in zip(self.extents, self.elems_per_axis, self.h_axes)])
         self.h_elem = np.full(self.n_elems, min(self.h_axes))
         self.boundary_faces = self._build_boundary_faces(dof_grid)
 
@@ -161,23 +166,6 @@ class Mesh:
         ids = ids.reshape([s for a in maps for s in a.shape])
         order = list(range(0, 2 * self.dim, 2)) + list(range(1, 2 * self.dim, 2))
         return ids.transpose(order).reshape(self.n_elems, self.nodes_per_elem)
-
-    def _build_node_coords(self):
-        axes = [self._axis_coords[k] for k in range(self.dim)]
-        grids = np.meshgrid(*axes[::-1], indexing="ij")  # (z, y, x) order
-        coords = np.stack([g.ravel() for g in grids[::-1]], axis=1)
-        return coords
-
-    def _build_elem_origins(self):
-        grids = np.meshgrid(
-            *[np.arange(n) for n in self.elems_per_axis[::-1]], indexing="ij"
-        )
-        origins = np.empty((self.n_elems, self.dim))
-        for k in range(self.dim):
-            a, _ = self.extents[k]
-            e = grids[self.dim - 1 - k].ravel()
-            origins[:, k] = a + e * self.h_axes[k]
-        return origins
 
     def _build_boundary_faces(self, dof_grid):
         faces = {}

@@ -2,12 +2,12 @@
 
 On a uniform box every constant-coefficient operator is a Kronecker sum of
 1D matrices. Each axis has a stiffness K1, a quadrature mass M1 and a
-derivative form G1 (``axis_matrices``). The weak Laplacian contracts them
-along the axes of the (z, y, x) DoF grid. One direct solve of a M + b K
-(``solve_helmholtz``) serves the pressure (a = 0) and the viscous step,
-and it and the wall surface integral use the same K1 and M1, so the
-Laplacian applied is the one inverted; M is M1 (x) M1 (x) M1
-(``tensor_mass``). No global matrix is stored.
+derivative form G1 = quad(l_i l_j') (``axis_matrices``). The weak
+Laplacian contracts them along the axes of the (z, y, x) DoF grid. One
+direct solve of a M + b K (``solve_helmholtz``) serves the pressure
+(a = 0) and the viscous step, and it and the wall surface integral use
+the same K1 and M1, so the Laplacian applied is the one inverted; M is
+M1 (x) M1 (x) M1 (``tensor_mass``). No global matrix is stored.
 
 Every first derivative is one nodal partial at every rule: the lumped-mass
 projection P_k = M_L^-1 (M1 (x) M1 (x) G1) of the weak d/dx_k, the g_h of
@@ -16,7 +16,8 @@ the stabilization and of the pressure correction. Its factors
 others, L1 the row sums of M1. At a collocated rule (GLL, or equispaced
 p <= 2) the quadrature points are the nodes and M1 = L1, so a partial is
 one 1D contraction. It gives ``project_gradient``, the divergence and the
-curl, and the weak gradient and divergence are it times the lumped mass.
+curl, the weak gradient and divergence are it times the lumped mass, and
+LPS off collocation applies its transpose.
 Convection at a collocated rule is evaluated on the DoF grid from the same
 partials, since the lumped scatter of W f is M_L f at the nodes. Both
 stabilizations there are weighted forms of 1D broken derivatives per axis
@@ -42,7 +43,7 @@ from operator import iadd
 import numpy as np
 
 from .basis import Basis1D, apply_along_axis, apply_kron
-from .mesh import NameEnum
+from .mesh import NameEnum, _tensor_points
 
 __all__ = [
     "ScalarField",
@@ -74,9 +75,6 @@ class ScalarField:
                 f"expected {mesh.n_dofs} values, got shape {values.shape}"
             )
         self.values = values
-
-    def copy(self):
-        return ScalarField(self.mesh, self.values.copy())
 
 
 class VectorField:
@@ -272,12 +270,9 @@ class GlobalOperators:
         Shape (n_elems, nq^dim, dim); follows self.basis, which may be an
         over-integrated rule rather than the mesh's collocated one.
         """
-        mesh = self.mesh
         ref = self.basis.quad_nodes
-        pts_1d = [(ref + 1.0) * (0.5 * h) for h in mesh.h_axes]
-        grids = np.meshgrid(*pts_1d[::-1], indexing="ij")
-        offs = np.stack([g.ravel() for g in grids[::-1]], axis=1)
-        return mesh.elem_origins[:, None, :] + offs[None, :, :]
+        offs = _tensor_points([(ref + 1.0) * (0.5 * h) for h in self.mesh.h_axes])
+        return self.mesh.elem_origins[:, None, :] + offs[None, :, :]
 
     def interp_to_quad(self, values):
         """Nodal values -> values at all quadrature points, (E, nq^dim)."""
@@ -635,11 +630,13 @@ class GlobalOperators:
         operator is the diagonal a + b (lam_x + lam_y + lam_z): the solve is
         a contraction with S^T per axis, a divide and a contraction with S
         per axis (Lynch, Rice & Thomas 1964). The values are lifted in from
-        their face, edge and corner slices alone (:meth:`_lift_pieces`).
+        their face, edge and corner slices alone (:meth:`_lift_pieces`), so
+        a lift costs what the faces hold.
         With a = 0 and nothing pinned the operator is singular: the
         Euclidean mean is removed from rhs first and from x last, the
         convention of mean-deflated CG. The diagonal and the lift of the
-        last (a, b) are kept per pinned tag.
+        last (a, b) are kept per pinned tag; a non-finite rhs raises
+        :class:`LinearSolveError`.
         """
         cached = self._diagonals.get(pinned)
         if cached is None or cached[0] != (a, b):

@@ -29,7 +29,8 @@ assembled by element kernels at the quadrature points.
 
 Sign convention: ``momentum_stabilization`` returns the term as added to the
 right-hand side of the explicit prediction step, i.e. oriented so that
-``sum_k u_k . s_k <= 0`` (the term removes kinetic energy).
+``sum_k u_k . s_k <= 0`` (the term removes kinetic energy). A false
+``StabilizationConfig`` adds none, and the stepper and records skip it.
 """
 
 from dataclasses import dataclass

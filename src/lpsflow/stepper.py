@@ -17,7 +17,10 @@ pinned; without them the constant null space is dropped. The viscous term
 is taken in Laplacian form, nu Delta u, which equals the divergence of
 nu (grad u + grad u^T) on divergence-free fields, so every velocity
 component sees the same operator M + theta dt nu K, with M = M1 (x) M1 (x)
-M1 and the walls pinned at the wall velocity.
+M1 (off collocation the consistent mass: no other has per-axis eigenpairs)
+and the walls pinned at the wall velocity. Its natural outflow condition is
+nu du/dn = 0, while ``outflow_pressure_dirichlet`` sets the traction datum
+2 nu du_n/dn there; which outlet is meant is an open decision.
 
 The pressure a step keeps is the last stage's divided by that stage's b:
 the stage's u* carries only b dt of the step's forcing.
@@ -31,7 +34,7 @@ and since where freed arrays land depends on the allocation history, its
 first step ends by writing one step-sized array's worth of heap above that
 step's peak (``_reserve_heap``). A warm step then grows into resident
 pages; the cost is the reserve in resident memory. No other module changes a
-process-wide setting, and off glibc this does nothing.
+process-wide setting; off glibc this does nothing, and no option changes it.
 """
 
 import ctypes

@@ -1,5 +1,8 @@
+import configparser
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +200,27 @@ class TestConfig:
         # tgv3d derives dt from the element size and p.
         with pytest.raises(ConfigError):
             RunConfig.resolve({("case", "name"): "tgv3d"}, {seckey: value})
+
+    @pytest.mark.parametrize("case,dim,want", [
+        ("tgv3d", 2, 3), ("shear_layer", 3, 2), ("tgv2d", 1, 2),
+    ])
+    def test_case_dim_rule_checked_before_the_mesh(self, case, dim, want):
+        # The preset's n keeps the preset's length; the dim rule, not the
+        # length of n, is what the user broke.
+        with pytest.raises(ConfigError, match=f"case {case} requires dim={want}"):
+            RunConfig.resolve({("case", "name"): case},
+                              {("mesh", "dim"): str(dim)})
+
+    def test_unparsable_value_names_its_key(self):
+        with pytest.raises(ConfigError, match=r"bad value for \[mesh\] p"):
+            RunConfig.resolve({("case", "name"): "tgv2d"},
+                              {("mesh", "p"): "two"})
+
+    def test_ini_line_before_any_section(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("name = tgv2d\n[case]\n")
+        with pytest.raises(ConfigError, match="config parse error"):
+            load_config(str(path))
 
     @pytest.mark.parametrize("seckey,value", [
         (("scheme", "t_end"), "nan"),
@@ -596,6 +620,24 @@ class TestCli:
     def test_missing_file_exit_code(self):
         assert main(["run", "/nonexistent/path.ini"]) == EXIT_CONFIG
 
+    def test_missing_manifest_exit_code(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_malformed_manifest_is_a_config_error(self, tmp_path, capsys):
+        # A manifest is read and parsed under the same guard as an INI file.
+        path = tmp_path / "run.json"
+        path.write_text('{"config": {"case": {"name": "tgv2d"}')
+        assert main(["check-config", str(path)]) == EXIT_CONFIG
+        assert "config parse error" in capsys.readouterr().err
+
+    def test_run_abort_exit_code_and_message(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[case]\nname = tgv2d\n[output]\ndir = {tmp_path / 'o'}\n")
+        rc = main(["run", str(path), "--quiet", "--set", "scheme.dt=5"])
+        assert rc == EXIT_ABORT
+        assert capsys.readouterr().err.startswith("run aborted: CFL number")
+
     def test_run_smoke(self, tmp_path, capsys):
         path = tmp_path / "c.ini"
         path.write_text(
@@ -606,3 +648,37 @@ class TestCli:
                    "output.every_steps=1"])
         assert rc == EXIT_OK
         assert (tmp_path / "o" / "diagnostics.csv").exists()
+
+
+def _readme_config_example():
+    """The ```ini block of README's CLI section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return cli_section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeConfigExample:
+    def test_keys_and_listed_alternatives_resolve(self):
+        block = _readme_config_example()
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(block)
+        values = {(section, key): value for section in parser.sections()
+                  for key, value in parser.items(section)}
+        assert set(values) <= set(RunConfig.resolve().values)
+        RunConfig.resolve(values)
+
+        # A "# a | b | c" comment lists every value its key accepts.
+        alternatives, section = {}, None
+        for line in block.splitlines():
+            header = re.fullmatch(r"\[(\w+)\]", line.strip())
+            if header:
+                section = header.group(1)
+            elif "#" in line and "|" in line:
+                key, comment = line.split("=", 1)[0].strip(), line.split("#", 1)[1]
+                alternatives[(section, key)] = [a.strip() for a in comment.split("|")]
+        assert alternatives
+        for seckey, names in alternatives.items():
+            assert values[seckey] in names
+            for name in names:
+                cfg = RunConfig.resolve({**values, seckey: name})
+                assert cfg.get(*seckey) == name
